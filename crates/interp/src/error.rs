@@ -37,6 +37,16 @@ pub enum InterpError {
         /// Source line.
         line: u32,
     },
+    /// An interface port has a rate other than 1: interpreted models are
+    /// single-rate (use native components for multirate blocks).
+    NonUnitRate {
+        /// Model name.
+        model: String,
+        /// Port name.
+        port: String,
+        /// The declared rate.
+        rate: usize,
+    },
 }
 
 impl fmt::Display for InterpError {
@@ -55,6 +65,10 @@ impl fmt::Display for InterpError {
             InterpError::WriteToInput { model, name, line } => write!(
                 f,
                 "model `{model}` writes input port `{name}` (line {line})"
+            ),
+            InterpError::NonUnitRate { model, port, rate } => write!(
+                f,
+                "port `{port}` of model `{model}` has rate {rate}; interpreted models are single-rate"
             ),
         }
     }

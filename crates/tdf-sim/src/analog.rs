@@ -8,27 +8,9 @@
 //! [`ModuleClass::Redefining`]; elements with memory (delay-like) equally
 //! so. All carry a [`DefSite`] naming their netlist binding line.
 
+use crate::components::Redefines;
 use crate::module::{DefSite, ModuleClass, ModuleSpec, PortSpec, ProcessingCtx, TdfModule};
-use crate::value::{Provenance, Sample, Value};
-
-fn restamp(site: &DefSite, input: &Sample) -> Option<Provenance> {
-    if !input.defined {
-        return None;
-    }
-    input.provenance.as_ref().map(|p| Provenance {
-        var: p.var.clone(),
-        line: site.line,
-        model: site.model.clone(),
-    })
-}
-
-fn siso_out(site: &DefSite, input: &Sample, value: Value) -> Sample {
-    Sample {
-        value,
-        provenance: restamp(site, input),
-        defined: input.defined,
-    }
-}
+use crate::value::Value;
 
 /// A threshold comparator with optional hysteresis: `y = x > threshold`,
 /// releasing only below `threshold - hysteresis`.
@@ -37,7 +19,7 @@ pub struct Comparator {
     threshold: f64,
     hysteresis: f64,
     state: bool,
-    site: DefSite,
+    site: Redefines,
 }
 
 impl Comparator {
@@ -48,7 +30,7 @@ impl Comparator {
             threshold,
             hysteresis,
             state: false,
-            site,
+            site: Redefines::new(site),
         }
     }
 }
@@ -63,20 +45,20 @@ impl TdfModule for Comparator {
             .output(PortSpec::new("tdf_o"))
     }
     fn class(&self) -> ModuleClass {
-        ModuleClass::Redefining(self.site.clone())
+        self.site.class()
     }
     fn initialize(&mut self) {
         self.state = false;
     }
     fn processing(&mut self, ctx: &mut ProcessingCtx<'_>) {
-        let x = ctx.input1(0).clone();
+        let x = *ctx.input1(0);
         let v = x.value.as_f64();
         if v > self.threshold {
             self.state = true;
         } else if v < self.threshold - self.hysteresis {
             self.state = false;
         }
-        let out = siso_out(&self.site, &x, Value::Bool(self.state));
+        let out = self.site.out(&x, Value::Bool(self.state), ctx.interner());
         ctx.write(0, out);
     }
 }
@@ -86,7 +68,7 @@ impl TdfModule for Comparator {
 pub struct SampleHold {
     name: String,
     held: f64,
-    site: DefSite,
+    site: Redefines,
 }
 
 impl SampleHold {
@@ -95,7 +77,7 @@ impl SampleHold {
         SampleHold {
             name: name.into(),
             held: 0.0,
-            site,
+            site: Redefines::new(site),
         }
     }
 }
@@ -111,18 +93,18 @@ impl TdfModule for SampleHold {
             .output(PortSpec::new("tdf_o"))
     }
     fn class(&self) -> ModuleClass {
-        ModuleClass::Redefining(self.site.clone())
+        self.site.class()
     }
     fn initialize(&mut self) {
         self.held = 0.0;
     }
     fn processing(&mut self, ctx: &mut ProcessingCtx<'_>) {
-        let x = ctx.input1(0).clone();
+        let x = *ctx.input1(0);
         let gate = ctx.input1(1).value.as_bool();
         if gate {
             self.held = x.value.as_f64();
         }
-        let out = siso_out(&self.site, &x, Value::Double(self.held));
+        let out = self.site.out(&x, Value::Double(self.held), ctx.interner());
         ctx.write(0, out);
     }
 }
@@ -133,7 +115,7 @@ pub struct Integrator {
     gain: f64,
     clamp: f64,
     state: f64,
-    site: DefSite,
+    site: Redefines,
 }
 
 impl Integrator {
@@ -144,7 +126,7 @@ impl Integrator {
             gain,
             clamp,
             state: 0.0,
-            site,
+            site: Redefines::new(site),
         }
     }
 }
@@ -159,17 +141,17 @@ impl TdfModule for Integrator {
             .output(PortSpec::new("tdf_o"))
     }
     fn class(&self) -> ModuleClass {
-        ModuleClass::Redefining(self.site.clone())
+        self.site.class()
     }
     fn initialize(&mut self) {
         self.state = 0.0;
     }
     fn processing(&mut self, ctx: &mut ProcessingCtx<'_>) {
-        let x = ctx.input1(0).clone();
+        let x = *ctx.input1(0);
         let dt = ctx.timestep().as_secs_f64();
         self.state += self.gain * x.value.as_f64() * dt;
         self.state = self.state.clamp(-self.clamp, self.clamp);
-        let out = siso_out(&self.site, &x, Value::Double(self.state));
+        let out = self.site.out(&x, Value::Double(self.state), ctx.interner());
         ctx.write(0, out);
     }
 }
@@ -178,7 +160,7 @@ impl TdfModule for Integrator {
 pub struct Dac {
     name: String,
     lsb: f64,
-    site: DefSite,
+    site: Redefines,
 }
 
 impl Dac {
@@ -187,7 +169,7 @@ impl Dac {
         Dac {
             name: name.into(),
             lsb,
-            site,
+            site: Redefines::new(site),
         }
     }
 }
@@ -202,14 +184,14 @@ impl TdfModule for Dac {
             .output(PortSpec::new("dac_o"))
     }
     fn class(&self) -> ModuleClass {
-        ModuleClass::Redefining(self.site.clone())
+        self.site.class()
     }
     fn processing(&mut self, ctx: &mut ProcessingCtx<'_>) {
-        let x = ctx.input1(0).clone();
-        let out = siso_out(
-            &self.site,
+        let x = *ctx.input1(0);
+        let out = self.site.out(
             &x,
             Value::Double(x.value.as_i64() as f64 * self.lsb),
+            ctx.interner(),
         );
         ctx.write(0, out);
     }
@@ -219,7 +201,7 @@ impl TdfModule for Dac {
 pub struct Quantizer {
     name: String,
     step: f64,
-    site: DefSite,
+    site: Redefines,
 }
 
 impl Quantizer {
@@ -233,7 +215,7 @@ impl Quantizer {
         Quantizer {
             name: name.into(),
             step,
-            site,
+            site: Redefines::new(site),
         }
     }
 }
@@ -248,12 +230,12 @@ impl TdfModule for Quantizer {
             .output(PortSpec::new("tdf_o"))
     }
     fn class(&self) -> ModuleClass {
-        ModuleClass::Redefining(self.site.clone())
+        self.site.class()
     }
     fn processing(&mut self, ctx: &mut ProcessingCtx<'_>) {
-        let x = ctx.input1(0).clone();
+        let x = *ctx.input1(0);
         let q = (x.value.as_f64() / self.step).round() * self.step;
-        let out = siso_out(&self.site, &x, Value::Double(q));
+        let out = self.site.out(&x, Value::Double(q), ctx.interner());
         ctx.write(0, out);
     }
 }
@@ -263,7 +245,7 @@ impl TdfModule for Quantizer {
 pub struct Decimator {
     name: String,
     factor: usize,
-    site: DefSite,
+    site: Redefines,
 }
 
 impl Decimator {
@@ -277,7 +259,7 @@ impl Decimator {
         Decimator {
             name: name.into(),
             factor,
-            site,
+            site: Redefines::new(site),
         }
     }
 }
@@ -292,12 +274,11 @@ impl TdfModule for Decimator {
             .output(PortSpec::new("tdf_o"))
     }
     fn class(&self) -> ModuleClass {
-        ModuleClass::Redefining(self.site.clone())
+        self.site.class()
     }
     fn processing(&mut self, ctx: &mut ProcessingCtx<'_>) {
-        let last = ctx.input(0, self.factor - 1).clone();
-        let v = last.value;
-        let out = siso_out(&self.site, &last, v);
+        let last = *ctx.input(0, self.factor - 1);
+        let out = self.site.out(&last, last.value, ctx.interner());
         ctx.write(0, out);
     }
 }
@@ -307,7 +288,7 @@ impl TdfModule for Decimator {
 pub struct Interpolator {
     name: String,
     factor: usize,
-    site: DefSite,
+    site: Redefines,
 }
 
 impl Interpolator {
@@ -321,7 +302,7 @@ impl Interpolator {
         Interpolator {
             name: name.into(),
             factor,
-            site,
+            site: Redefines::new(site),
         }
     }
 }
@@ -336,13 +317,12 @@ impl TdfModule for Interpolator {
             .output(PortSpec::new("tdf_o").with_rate(self.factor))
     }
     fn class(&self) -> ModuleClass {
-        ModuleClass::Redefining(self.site.clone())
+        self.site.class()
     }
     fn processing(&mut self, ctx: &mut ProcessingCtx<'_>) {
-        let x = ctx.input1(0).clone();
-        let v = x.value;
+        let x = *ctx.input1(0);
+        let out = self.site.out(&x, x.value, ctx.interner());
         for _ in 0..self.factor {
-            let out = siso_out(&self.site, &x, v);
             ctx.write(0, out);
         }
     }

@@ -258,9 +258,13 @@ impl Interner {
 
     /// Interns a provenance triple, returning its stable id.
     pub fn intern_prov(&self, prov: &Provenance) -> ProvId {
-        let var = self.intern(&prov.var);
-        let model = self.intern(&prov.model);
-        let key = (var.0, prov.line, model.0);
+        self.intern_triple(self.intern(&prov.var), prov.line, self.intern(&prov.model))
+    }
+
+    /// Interns the provenance triple `(var, line, model)` of already
+    /// interned names, returning its stable id.
+    pub fn intern_triple(&self, var: Sym, line: u32, model: Sym) -> ProvId {
+        let key = (var.0, line, model.0);
         {
             let t = self.provs.read().unwrap_or_else(|p| p.into_inner());
             if let Some(&id) = t.map.get(&key) {
@@ -273,7 +277,7 @@ impl Interner {
         }
         let id = u32::try_from(t.list.len()).expect("interner overflow");
         assert!(id != u32::MAX, "interner overflow");
-        t.list.push((var, prov.line, model));
+        t.list.push((var, line, model));
         t.map.insert(key, id);
         ProvId(id)
     }

@@ -9,10 +9,11 @@
 //! On top of plain simulation the kernel carries two instrumentation
 //! features the data flow testing flow relies on:
 //!
-//! * every [`Sample`] carries an optional [`Provenance`] `(var, line, model)`
-//!   — the last definition feeding it; redefining library components
-//!   (delay, gain, buffer, …) re-stamp it with their netlist binding site,
-//!   which is exactly the paper's `parallel_print()` observation point;
+//! * every [`Sample`] carries a [`ProvId`], the interned [`Provenance`]
+//!   `(var, line, model)` of the last definition feeding it ([`ProvId::NONE`]
+//!   when unknown); redefining library components (delay, gain, buffer, …)
+//!   re-stamp it with their netlist binding site, which is exactly the
+//!   paper's `parallel_print()` observation point;
 //! * modules can emit def/use [`Event`]s into an [`EventSink`] during
 //!   `processing()` — the analog of the injected print instrumentation.
 //!

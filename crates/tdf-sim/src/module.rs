@@ -431,11 +431,6 @@ impl ProcessingCtx<'_> {
         self.outputs[port].push(sample);
     }
 
-    /// Emits an instrumentation event.
-    pub fn emit(&mut self, event: Event) {
-        self.sink.record(event);
-    }
-
     /// Emits a compact (interned) instrumentation event. Ids must come
     /// from [`ProcessingCtx::interner`].
     pub fn emit_compact(&mut self, event: CompactEvent) {

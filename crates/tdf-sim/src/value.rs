@@ -3,6 +3,8 @@
 
 use std::fmt;
 
+use crate::intern::ProvId;
+
 /// A dynamically-typed TDF sample value (double, int or bool).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value {
@@ -108,7 +110,8 @@ impl fmt::Display for Value {
 /// redefining library elements (delay, gain, buffer) replace the `line` and
 /// `model` with their netlist binding site while keeping `var` — exactly the
 /// coordinates the paper uses for cluster-level associations such as
-/// `(op_signal_out, 74, sense_top, 36, AM)`.
+/// `(op_signal_out, 74, sense_top, 36, AM)`. Samples carry its interned
+/// [`ProvId`]; this string form renders events and reports.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Provenance {
     /// The originating variable/port name.
@@ -136,13 +139,15 @@ impl fmt::Display for Provenance {
     }
 }
 
-/// One sample travelling on a TDF signal.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// One sample travelling on a TDF signal — a `Copy` record, so moving it
+/// between modules never allocates.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
     /// The carried value.
     pub value: Value,
-    /// Last definition feeding this sample, if known.
-    pub provenance: Option<Provenance>,
+    /// Last definition feeding this sample, interned against the cluster's
+    /// [`Interner`](crate::Interner); [`ProvId::NONE`] when unknown.
+    pub prov: ProvId,
     /// False when the producing module failed to write the port during its
     /// activation — the "port used without definition" undefined behaviour
     /// the paper reports finding in both case studies.
@@ -152,18 +157,14 @@ pub struct Sample {
 impl Sample {
     /// A defined sample without provenance (testbench stimulus).
     pub fn new(value: impl Into<Value>) -> Self {
-        Sample {
-            value: value.into(),
-            provenance: None,
-            defined: true,
-        }
+        Sample::stamped(value, ProvId::NONE)
     }
 
-    /// A defined sample carrying definition provenance.
-    pub fn with_provenance(value: impl Into<Value>, provenance: Provenance) -> Self {
+    /// A defined sample carrying the interned definition provenance `prov`.
+    pub fn stamped(value: impl Into<Value>, prov: ProvId) -> Self {
         Sample {
             value: value.into(),
-            provenance: Some(provenance),
+            prov,
             defined: true,
         }
     }
@@ -173,7 +174,7 @@ impl Sample {
     pub fn undefined() -> Self {
         Sample {
             value: Value::default(),
-            provenance: None,
+            prov: ProvId::NONE,
             defined: false,
         }
     }
@@ -216,11 +217,12 @@ mod tests {
     fn sample_constructors() {
         let s = Sample::new(1.0);
         assert!(s.defined);
-        assert!(s.provenance.is_none());
+        assert!(s.prov.is_none());
 
+        let interner = crate::Interner::new();
         let p = Provenance::new("op_signal_out", 14, "TS");
-        let s2 = Sample::with_provenance(2.0, p.clone());
-        assert_eq!(s2.provenance.as_ref(), Some(&p));
+        let s2 = Sample::stamped(2.0, interner.intern_prov(&p));
+        assert_eq!(interner.resolve_prov(s2.prov), Some(p));
 
         let u = Sample::undefined();
         assert!(!u.defined);

@@ -33,7 +33,7 @@ impl TdfModule for AdaptiveSampler {
         self.fine = false;
     }
     fn processing(&mut self, ctx: &mut ProcessingCtx<'_>) {
-        let x = ctx.input1(0).clone();
+        let x = *ctx.input1(0);
         if !self.fine && x.value.as_f64() > 5.0 {
             self.fine = true;
             ctx.request_timestep(SimTime::from_us(10));
