@@ -7,11 +7,14 @@
 //! ([`crate::proto::DesignRef::cache_key_material`]) plus the tracking
 //! mode the automaton is built with, and shared across tenants via `Arc`.
 //!
-//! The cache is bounded: once `capacity` distinct designs are resident,
-//! the **least-recently-used** entry is evicted. Lookups promote their
-//! entry to most-recently-used, so a hot design interleaved with many
-//! one-off designs stays resident no matter how many distinct keys pass
-//! through (the FIFO policy this replaces evicted it regardless of hits).
+//! The cache is bounded (a segmented LRU): once `capacity` distinct
+//! designs are resident, the **least-recently-used** entry not hit since
+//! its insertion is evicted, or the least-recently-used entry when every
+//! one was hit. A lookup promotes its entry to most-recently-used and
+//! protects it; at most half the cache is protected, so protecting one
+//! more unprotects the least-recently-used protected entry. A hot design
+//! interleaved with one-off designs therefore stays resident however many
+//! distinct keys pass through between two of its hits.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -31,6 +34,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 struct Entry {
     key: u64,
     artifacts: Arc<SessionArtifacts>,
+    /// Hit since it was inserted; evicted only when nothing else is.
+    protected: bool,
 }
 
 /// A bounded, thread-safe artifact cache.
@@ -77,23 +82,32 @@ impl ArtifactCache {
             return Ok((Arc::clone(&raced.artifacts), false));
         }
         while entries.len() >= self.capacity {
-            entries.pop_front();
+            let victim = entries.iter().position(|e| !e.protected).unwrap_or(0);
+            entries.remove(victim);
             EVICTIONS.add(1);
         }
         entries.push_back(Entry {
             key,
             artifacts: Arc::clone(&built),
+            protected: false,
         });
         Ok((built, false))
     }
 
-    /// Finds `key` and promotes it to most-recently-used (back of the
-    /// eviction queue), so constant hitters survive churn from one-off
-    /// designs.
+    /// Finds `key`, promotes it to most-recently-used (back of the
+    /// eviction queue) and protects it, so constant hitters survive churn
+    /// from one-off designs. Protecting a half-protected cache first
+    /// unprotects the least-recently-used protected entry.
     fn lookup(&self, key: u64) -> Option<Arc<SessionArtifacts>> {
         let mut entries = self.entries.lock().unwrap_or_else(|p| p.into_inner());
         let pos = entries.iter().position(|e| e.key == key)?;
-        let entry = entries.remove(pos).expect("position came from this deque");
+        let mut entry = entries.remove(pos).expect("position came from this deque");
+        if !entry.protected && entries.iter().filter(|e| e.protected).count() >= self.capacity / 2 {
+            if let Some(oldest) = entries.iter_mut().find(|e| e.protected) {
+                oldest.protected = false;
+            }
+        }
+        entry.protected = true;
         let found = Arc::clone(&entry.artifacts);
         entries.push_back(entry);
         Some(found)
@@ -172,6 +186,47 @@ mod tests {
             assert!(Arc::ptr_eq(&hot, &again));
         }
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn hot_entry_survives_a_burst_of_more_one_offs_than_the_capacity() {
+        // Plain LRU evicted a hot design once capacity-many one-off
+        // designs passed through between two of its hits.
+        let cache = ArtifactCache::new(4);
+        let (hot, _) = cache.get_or_build(100, build_probe).unwrap();
+        cache.get_or_build(100, build_probe).unwrap();
+        for key in 0..10u64 {
+            cache.get_or_build(key, build_probe).unwrap();
+        }
+        let (again, warm) = cache
+            .get_or_build(100, || -> Result<_, String> {
+                panic!("hot entry must never rebuild")
+            })
+            .unwrap();
+        assert!(warm && Arc::ptr_eq(&hot, &again));
+        assert_eq!(cache.len(), 4);
+        // One-offs still rotate through the unprotected slots.
+        let (_, warm) = cache.get_or_build(9, build_probe).unwrap();
+        assert!(warm, "the latest one-off is resident");
+        let (_, warm) = cache.get_or_build(0, build_probe).unwrap();
+        assert!(!warm, "the oldest one-off was evicted");
+    }
+
+    #[test]
+    fn at_most_half_the_cache_is_protected() {
+        let cache = ArtifactCache::new(4);
+        for key in 0..3u64 {
+            cache.get_or_build(key, build_probe).unwrap();
+            cache.get_or_build(key, build_probe).unwrap();
+        }
+        // Protecting key 2 unprotected key 0, the oldest protected entry,
+        // so the next insert evicts it rather than a recently hit design.
+        cache.get_or_build(3, build_probe).unwrap();
+        cache.get_or_build(4, build_probe).unwrap();
+        let (_, warm) = cache.get_or_build(1, build_probe).unwrap();
+        assert!(warm, "key 1 stayed protected");
+        let (_, warm) = cache.get_or_build(0, build_probe).unwrap();
+        assert!(!warm, "key 0 lost its protection and was evicted");
     }
 
     #[test]
