@@ -70,9 +70,7 @@ impl SynthSpec {
     /// Propagates parse/bind/elaboration errors (none expected for
     /// generated specs).
     pub fn build_cluster(&self) -> Result<Cluster> {
-        self.build_cluster_with(Box::new(FnSource::new("stim", SimTime::from_us(1), |t| {
-            Value::Double((t.as_fs() % 7) as f64)
-        })))
+        self.build_cluster_with(default_stimulus())
     }
 
     /// [`SynthSpec::build_cluster`] with a caller-supplied stimulus
@@ -86,13 +84,22 @@ impl SynthSpec {
     /// Propagates parse/bind/elaboration errors (none expected for
     /// generated specs).
     pub fn build_cluster_with(&self, stim: Box<dyn tdf_sim::TdfModule>) -> Result<Cluster> {
-        let tu = minic::parse(&self.source)?;
+        self.cluster_from(&minic::parse(&self.source)?, stim)
+    }
+
+    /// The chain cluster over an already parsed `tu` of [`Self::source`]
+    /// — the one place the netlist is built.
+    fn cluster_from(
+        &self,
+        tu: &minic::TranslationUnit,
+        stim: Box<dyn tdf_sim::TdfModule>,
+    ) -> Result<Cluster> {
         let mut cluster = Cluster::new("synth_top");
         let src = cluster.add_module(stim)?;
         let mut prev_port = ("stim".to_owned(), "op_out".to_owned());
         let mut prev_id = src;
         for (i, def) in self.models.iter().enumerate() {
-            let m = InterpModule::new(&tu, &def.model, def.interface.clone())?;
+            let m = InterpModule::new(tu, &def.model, def.interface.clone())?;
             let mid = cluster.add_module(Box::new(m))?;
             if self.with_gains && i > 0 && i % 2 == 0 {
                 let g = Gain::new(
@@ -112,16 +119,24 @@ impl SynthSpec {
         Ok(cluster)
     }
 
-    /// Builds the analysable [`Design`] (sources + interfaces + netlist).
+    /// Builds the analysable [`Design`] (sources + interfaces + netlist),
+    /// parsing the source once for both the netlist and the design.
     ///
     /// # Errors
     ///
     /// Propagates parse errors (none expected for generated specs).
     pub fn build_design(&self) -> Result<Design> {
-        let cluster = self.build_cluster()?;
         let tu = minic::parse(&self.source)?;
-        Design::new(tu, self.models.clone(), cluster.netlist())
+        let netlist = self.cluster_from(&tu, default_stimulus())?.netlist();
+        Design::new(tu, self.models.clone(), netlist)
     }
+}
+
+/// The stimulus [`SynthSpec::build_cluster`] drives the chain head with.
+fn default_stimulus() -> Box<dyn tdf_sim::TdfModule> {
+    Box::new(FnSource::new("stim", SimTime::from_us(1), |t| {
+        Value::Double((t.as_fs() % 7) as f64)
+    }))
 }
 
 #[cfg(test)]

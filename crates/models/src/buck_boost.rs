@@ -17,6 +17,7 @@
 //! * a supervisor (OCP-event counting, cooldown gating) and a telemetry
 //!   unit extend the design to the paper's multi-IP scale.
 
+use minic::TranslationUnit;
 use stimuli::{Signal, Testcase, Testsuite};
 use tdf_interp::{Interface, InterpModule, TdfModelDef};
 use tdf_sim::{Cluster, DefSite, LowPass, PortSpec, Probe, SimTime, TraceBuffer};
@@ -225,7 +226,11 @@ pub struct BbProbes {
 ///
 /// Propagates parse/bind errors (none expected for the fixed source).
 pub fn build_bb_cluster(tc: &Testcase) -> Result<(Cluster, BbProbes)> {
-    let tu = minic::parse(BUCK_BOOST_SRC)?;
+    bb_cluster_from(&minic::parse(BUCK_BOOST_SRC)?, tc)
+}
+
+/// [`build_bb_cluster`] over an already parsed [`BUCK_BOOST_SRC`].
+fn bb_cluster_from(tu: &TranslationUnit, tc: &Testcase) -> Result<(Cluster, BbProbes)> {
     let mut cluster = Cluster::new("bb_top");
 
     let vin_src =
@@ -236,7 +241,7 @@ pub fn build_bb_cluster(tc: &Testcase) -> Result<(Cluster, BbProbes)> {
 
     let mut ids = std::collections::HashMap::new();
     for def in bb_model_defs() {
-        let m = InterpModule::new(&tu, &def.model, def.interface.clone())?;
+        let m = InterpModule::new(tu, &def.model, def.interface.clone())?;
         ids.insert(def.model.clone(), cluster.add_module(Box::new(m))?);
     }
     let (ctrlr, pwm, plant) = (ids["ctrlr"], ids["pwm"], ids["plant"]);
@@ -305,9 +310,9 @@ pub fn build_bb_cluster(tc: &Testcase) -> Result<(Cluster, BbProbes)> {
 ///
 /// Propagates parse errors (none expected for the fixed source).
 pub fn bb_design() -> Result<Design> {
-    let dummy = Testcase::new("elab", SimTime::from_ms(1));
-    let (cluster, _) = build_bb_cluster(&dummy)?;
     let tu = minic::parse(BUCK_BOOST_SRC)?;
+    let dummy = Testcase::new("elab", SimTime::from_ms(1));
+    let (cluster, _) = bb_cluster_from(&tu, &dummy)?;
     Design::new(tu, bb_model_defs(), cluster.netlist())
 }
 

@@ -10,6 +10,7 @@
 //! aggressive integrator) drives the plant past the overshoot bound and
 //! the monitor pins the first violation instant.
 
+use minic::TranslationUnit;
 use stimuli::{Signal, Testcase};
 use tdf_interp::{Interface, InterpModule, TdfModelDef};
 use tdf_sim::{Cluster, PortSpec, Probe, SimTime, TraceBuffer};
@@ -136,19 +137,27 @@ pub struct PidProbes {
 ///
 /// Propagates parse/bind errors (none expected for the fixed source).
 pub fn build_pid_cluster(tc: &Testcase, tuning: PidTuning) -> Result<(Cluster, PidProbes)> {
-    let tu = minic::parse(PID_SRC)?;
+    pid_cluster_from(&minic::parse(PID_SRC)?, tc, tuning)
+}
+
+/// [`build_pid_cluster`] over an already parsed [`PID_SRC`].
+fn pid_cluster_from(
+    tu: &TranslationUnit,
+    tc: &Testcase,
+    tuning: PidTuning,
+) -> Result<(Cluster, PidProbes)> {
     let mut cluster = Cluster::new("pid_loop");
     let src = cluster.add_module(Box::new(
         tc.signal(REF).into_source("ref_src", PID_TIMESTEP),
     ))?;
     let defs = pid_model_defs(tuning);
     let pid = cluster.add_module(Box::new(InterpModule::new(
-        &tu,
+        tu,
         "pid",
         defs[0].interface.clone(),
     )?))?;
     let plant = cluster.add_module(Box::new(InterpModule::new(
-        &tu,
+        tu,
         "plant",
         defs[1].interface.clone(),
     )?))?;
@@ -172,13 +181,10 @@ pub fn build_pid_cluster(tc: &Testcase, tuning: PidTuning) -> Result<(Cluster, P
 ///
 /// Propagates parse errors (none expected for the fixed source).
 pub fn pid_design() -> Result<Design> {
+    let tu = minic::parse(PID_SRC)?;
     let dummy = Testcase::new("elab", SimTime::from_ms(1));
-    let (cluster, _) = build_pid_cluster(&dummy, PidTuning::nominal())?;
-    Design::new(
-        minic::parse(PID_SRC)?,
-        pid_model_defs(PidTuning::nominal()),
-        cluster.netlist(),
-    )
+    let (cluster, _) = pid_cluster_from(&tu, &dummy, PidTuning::nominal())?;
+    Design::new(tu, pid_model_defs(PidTuning::nominal()), cluster.netlist())
 }
 
 /// The loop's testcases: an immediate step to [`PID_TARGET`] and the

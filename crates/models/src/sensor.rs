@@ -11,6 +11,7 @@
 //! TC2 uncovers ("the data flow associations related to lines between Line
 //! 49 and Line 52 were never exercised").
 
+use minic::TranslationUnit;
 use stimuli::{Signal, Testcase, Testsuite};
 use tdf_interp::{Interface, InterpModule, TdfModelDef};
 use tdf_sim::{Cluster, DefSite, Delay, Gain, PortSpec, SimTime, TraceBuffer, Value};
@@ -208,7 +209,15 @@ pub struct SensorProbes {
 ///
 /// Propagates parse/bind errors (none expected for the fixed source).
 pub fn build_sensor_cluster(tc: &Testcase, adc_full_scale: f64) -> Result<(Cluster, SensorProbes)> {
-    let tu = minic::parse(SENSOR_SRC)?;
+    sensor_cluster_from(&minic::parse(SENSOR_SRC)?, tc, adc_full_scale)
+}
+
+/// [`build_sensor_cluster`] over an already parsed [`SENSOR_SRC`].
+fn sensor_cluster_from(
+    tu: &TranslationUnit,
+    tc: &Testcase,
+    adc_full_scale: f64,
+) -> Result<(Cluster, SensorProbes)> {
     let mut cluster = Cluster::new("sense_top");
 
     let ts_src = cluster.add_module(Box::new(
@@ -220,7 +229,7 @@ pub fn build_sensor_cluster(tc: &Testcase, adc_full_scale: f64) -> Result<(Clust
 
     let mut ids = std::collections::HashMap::new();
     for def in sensor_model_defs(adc_full_scale) {
-        let m = InterpModule::new(&tu, &def.model, def.interface.clone())?;
+        let m = InterpModule::new(tu, &def.model, def.interface.clone())?;
         ids.insert(def.model.clone(), cluster.add_module(Box::new(m))?);
     }
     let (ts, hs, am, ctl, adc) = (ids["TS"], ids["HS"], ids["AM"], ids["ctrl"], ids["adc"]);
@@ -278,9 +287,9 @@ pub fn build_sensor_cluster(tc: &Testcase, adc_full_scale: f64) -> Result<(Clust
 ///
 /// Propagates parse errors (none expected for the fixed source).
 pub fn sensor_design(adc_full_scale: f64) -> Result<Design> {
-    let dummy = Testcase::new("elab", SimTime::from_us(1));
-    let (cluster, _) = build_sensor_cluster(&dummy, adc_full_scale)?;
     let tu = minic::parse(SENSOR_SRC)?;
+    let dummy = Testcase::new("elab", SimTime::from_us(1));
+    let (cluster, _) = sensor_cluster_from(&tu, &dummy, adc_full_scale)?;
     Design::new(tu, sensor_model_defs(adc_full_scale), cluster.netlist())
 }
 

@@ -10,6 +10,7 @@
 //! the full filter→ADC chain (PWeak) — **no PFirm pairs exist**, matching
 //! "There were no PFirm def-use pairs identified" in Table II.
 
+use minic::TranslationUnit;
 use stimuli::{Signal, Testcase, Testsuite};
 use tdf_interp::{Interface, InterpModule, TdfModelDef};
 use tdf_sim::{Adc, Cluster, DefSite, LowPass, PortSpec, Probe, SimTime, TraceBuffer};
@@ -297,7 +298,11 @@ pub struct LifterProbes {
 ///
 /// Propagates parse/bind errors (none expected for the fixed source).
 pub fn build_lifter_cluster(tc: &Testcase) -> Result<(Cluster, LifterProbes)> {
-    let tu = minic::parse(WINDOW_LIFTER_SRC)?;
+    lifter_cluster_from(&minic::parse(WINDOW_LIFTER_SRC)?, tc)
+}
+
+/// [`build_lifter_cluster`] over an already parsed [`WINDOW_LIFTER_SRC`].
+fn lifter_cluster_from(tu: &TranslationUnit, tc: &Testcase) -> Result<(Cluster, LifterProbes)> {
     let mut cluster = Cluster::new("ecu_top");
 
     let up_src = cluster.add_module(Box::new(
@@ -313,7 +318,7 @@ pub fn build_lifter_cluster(tc: &Testcase) -> Result<(Cluster, LifterProbes)> {
 
     let mut ids = std::collections::HashMap::new();
     for def in lifter_model_defs() {
-        let m = InterpModule::new(&tu, &def.model, def.interface.clone())?;
+        let m = InterpModule::new(tu, &def.model, def.interface.clone())?;
         ids.insert(def.model.clone(), cluster.add_module(Box::new(m))?);
     }
     let (updown, mcu, motor, window, detector) = (
@@ -395,9 +400,9 @@ pub fn build_lifter_cluster(tc: &Testcase) -> Result<(Cluster, LifterProbes)> {
 ///
 /// Propagates parse errors (none expected for the fixed source).
 pub fn lifter_design() -> Result<Design> {
-    let dummy = Testcase::new("elab", SimTime::from_ms(1));
-    let (cluster, _) = build_lifter_cluster(&dummy)?;
     let tu = minic::parse(WINDOW_LIFTER_SRC)?;
+    let dummy = Testcase::new("elab", SimTime::from_ms(1));
+    let (cluster, _) = lifter_cluster_from(&tu, &dummy)?;
     Design::new(tu, lifter_model_defs(), cluster.netlist())
 }
 

@@ -7,14 +7,17 @@
 //! rendered Table I / Table II bodies and the subsumption report — at 1
 //! and 4 analysis threads, with full and reduced tracking (the
 //! `DFT_SUBSUME=0` semantics), and through both match strategies on a
-//! simulated batch.
+//! simulated batch. The incremental build's match automaton must also
+//! equal, table by table and compared by name, a cold
+//! [`MatchAutomaton::with_tracking`] over a separately built copy of the
+//! edited design.
 
 use proptest::prelude::*;
 
 use systemc_ams_dft::dft::synth::{synthetic_chain, SynthSpec};
 use systemc_ams_dft::dft::{
-    render_subsumption, render_table1, render_table2, DftSession, MatchStrategy, SessionArtifacts,
-    SessionConfig, Table2Row, Tracking,
+    render_subsumption, render_table1, render_table2, DftSession, MatchAutomaton, MatchStrategy,
+    SessionArtifacts, SessionConfig, Table2Row, Tracking,
 };
 use systemc_ams_dft::sim::SimTime;
 
@@ -74,6 +77,16 @@ fn observable(
         render_table2(&[row]),
         render_subsumption(&statics, &cov)
     )
+}
+
+/// Whether the automaton inside `artifacts` has the same tables as
+/// `reference`. `MatchAutomaton`'s `Debug` names every table entry (the
+/// frozen name set, per-row vocabulary, in-ports and start line, member
+/// seeds, association keys and their indices) in a canonical order, and
+/// the derived `Debug` of `SessionArtifacts` embeds it as its `automaton`
+/// field, so the two designs' different interners do not matter.
+fn automaton_equals(artifacts: &SessionArtifacts, reference: &MatchAutomaton) -> bool {
+    format!("{artifacts:?}").contains(&format!("automaton: {reference:?}, tracking: "))
 }
 
 fn arb_case() -> impl Strategy<Value = (usize, bool, Vec<(usize, u32, u32)>)> {
@@ -143,6 +156,21 @@ proptest! {
                     threads,
                     tracking
                 );
+                // The automaton reads the static stage's CFGs; a cold
+                // one over a fresh copy of the design builds its own.
+                let reference = MatchAutomaton::with_tracking(
+                    &edited.build_design().unwrap(),
+                    cold.static_analysis(),
+                    tracking,
+                );
+                prop_assert!(
+                    automaton_equals(&incr, &reference),
+                    "automaton tables diverged (threads={}, tracking={:?})",
+                    threads,
+                    tracking
+                );
+                prop_assert!(automaton_equals(&cold, &reference));
+
                 // Unchanged models must splice from `prev` (the global
                 // model cache can only lower the count further).
                 prop_assert!(
