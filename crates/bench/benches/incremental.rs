@@ -8,13 +8,17 @@
 //! previous build. Byte-identity of the spliced analysis is asserted
 //! before timing.
 //!
-//! Two measurements per case study:
+//! Two measurements per case study, each against the never-memoized
+//! reference:
 //!
-//! * `*_static` — [`SessionArtifacts::reanalyse`], the static stage alone
-//!   (what the memoization actually accelerates); design construction is
-//!   excluded via `iter_batched` setup.
-//! * `*_full_build` — the end-to-end [`SessionArtifacts`] build including
-//!   the match automaton, the figure a `dft-serve` client sees.
+//! * `*_static` — the static stage alone (what the memoization actually
+//!   accelerates): [`SessionArtifacts::reanalyse`] against
+//!   [`analyse_with_threads`]; design construction is excluded via
+//!   `iter_batched` setup.
+//! * `*_full_build` — the end-to-end build including the match automaton,
+//!   the figure a `dft-serve` client sees:
+//!   [`SessionArtifacts::build_incremental`] against
+//!   [`analyse_with_threads`] plus [`MatchAutomaton::new`].
 
 use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -22,7 +26,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use ams_models::{buck_boost, sensor, window_lifter};
-use dft_core::{Design, SessionArtifacts, SessionConfig};
+use dft_core::{analyse_with_threads, Design, MatchAutomaton, SessionArtifacts, SessionConfig};
 use stimuli::Testcase;
 use tdf_sim::SimTime;
 
@@ -98,23 +102,18 @@ fn bench_incremental(c: &mut Criterion) {
     // One worker on both sides: the single-worker baseline the other
     // benches use, so the comparison is work saved, not threads spent
     // (outputs are byte-identical at every thread count either way).
-    let cold_config = SessionConfig::from_env()
-        .with_threads(1)
-        .with_incremental(false);
-    let incr_config = cold_config.with_incremental(true);
+    let config = SessionConfig::from_env().with_threads(1);
     for case in CASES {
-        // `prev` is built with incremental on — a pure-cold build skips
-        // fingerprinting and carries no keys to splice from.
-        let prev = SessionArtifacts::build_with((case.base)(), &incr_config);
+        let prev = SessionArtifacts::build_with((case.base)(), &config);
 
         // Exactness gate before any timing: the splice must reproduce the
         // cold analysis byte for byte, recomputing at most the one edited
         // model.
         let check = 1_000_000;
-        let cold = SessionArtifacts::build_with((case.edited)(check), &cold_config);
-        let incr = SessionArtifacts::build_incremental((case.edited)(check), &prev, &incr_config);
+        let cold = analyse_with_threads(&(case.edited)(check), 1);
+        let incr = SessionArtifacts::build_incremental((case.edited)(check), &prev, &config);
         assert_eq!(
-            cold.static_analysis(),
+            &cold,
             incr.static_analysis(),
             "{}: incremental != cold",
             case.name
@@ -137,7 +136,7 @@ fn bench_incremental(c: &mut Criterion) {
             b.iter_batched(
                 || (case.edited)(edits.fetch_add(1, Ordering::Relaxed)),
                 |design| {
-                    let analysis = black_box(prev.reanalyse(&design, &cold_config));
+                    let analysis = black_box(analyse_with_threads(&design, 1));
                     (design, analysis)
                 },
                 BatchSize::PerIteration,
@@ -147,7 +146,7 @@ fn bench_incremental(c: &mut Criterion) {
             b.iter_batched(
                 || (case.edited)(edits.fetch_add(1, Ordering::Relaxed)),
                 |design| {
-                    let analysis = black_box(prev.reanalyse(&design, &incr_config));
+                    let analysis = black_box(prev.reanalyse(&design, &config));
                     (design, analysis)
                 },
                 BatchSize::PerIteration,
@@ -156,20 +155,18 @@ fn bench_incremental(c: &mut Criterion) {
         group.bench_function("cold_full_build", |b| {
             b.iter_batched(
                 || (case.edited)(edits.fetch_add(1, Ordering::Relaxed)),
-                |design| black_box(SessionArtifacts::build_with(design, &cold_config)),
+                |design| {
+                    let analysis = analyse_with_threads(&design, 1);
+                    let automaton = black_box(MatchAutomaton::new(&design, &analysis));
+                    (design, analysis, automaton)
+                },
                 BatchSize::PerIteration,
             )
         });
         group.bench_function("incremental_full_build_one_model_edit", |b| {
             b.iter_batched(
                 || (case.edited)(edits.fetch_add(1, Ordering::Relaxed)),
-                |design| {
-                    black_box(SessionArtifacts::build_incremental(
-                        design,
-                        &prev,
-                        &incr_config,
-                    ))
-                },
+                |design| black_box(SessionArtifacts::build_incremental(design, &prev, &config)),
                 BatchSize::PerIteration,
             )
         });

@@ -1,74 +1,36 @@
-//! Event-log matching: the interned-symbol match automaton versus the
-//! legacy string matcher, on identical logs captured from synthetic chain
-//! simulations. Throughput is events matched per second; the end-to-end
-//! effect on candidate evaluation is covered by `benches/testgen.rs`.
+//! Event-log matching: the interned-symbol match automaton over logs
+//! captured from synthetic chain simulations. Throughput is events matched
+//! per second; the end-to-end effect on candidate evaluation is covered by
+//! `benches/testgen.rs`.
 //!
-//! Both matchers run in lenient mode (the batch-pipeline default) so the
-//! comparison includes the validation prelude, not just association
-//! pairing.
+//! Matching runs in lenient mode (the session default) so the figure
+//! includes the validation prelude, not just association pairing.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dft_core::synth::synthetic_chain;
-use dft_core::{analyse, analyse_events_with_mode, Design, MatchAutomaton, MatchMode};
+use dft_core::{analyse, MatchAutomaton, MatchMode};
 use std::hint::black_box;
 use std::sync::Arc;
-use tdf_sim::{CompactEvent, CompactRecordingSink, Event, Interner, SimTime, Simulator};
-
-/// One captured log in both representations, over the same interner.
-struct Capture {
-    design: Design,
-    legacy: Vec<Event>,
-    compact: Vec<CompactEvent>,
-    interner: Arc<Interner>,
-}
-
-fn capture(length: usize) -> Capture {
-    let spec = synthetic_chain(length, true);
-    let design = spec.build_design().unwrap();
-    let mut cluster = spec.build_cluster().unwrap();
-    let interner = Arc::clone(design.interner());
-    cluster.set_interner(Arc::clone(&interner));
-    let mut sim = Simulator::new(cluster).unwrap();
-    let mut sink = CompactRecordingSink::new(Arc::clone(&interner));
-    sim.run(SimTime::from_us(200), &mut sink).unwrap();
-    let compact = sink.events;
-    let legacy: Vec<Event> = compact.iter().map(|e| e.to_event(&interner)).collect();
-    Capture {
-        design,
-        legacy,
-        compact,
-        interner,
-    }
-}
+use tdf_sim::{CompactRecordingSink, SimTime, Simulator};
 
 fn bench_matching(c: &mut Criterion) {
     for length in [2usize, 6] {
-        let cap = capture(length);
-        let statics = analyse(&cap.design);
-        let automaton = MatchAutomaton::new(&cap.design, &statics);
-        assert!(Arc::ptr_eq(automaton.interner(), &cap.interner));
-        // Same results on the same log, or the comparison is meaningless.
-        let fast = automaton.analyse(&cap.compact, MatchMode::Lenient);
-        let slow = analyse_events_with_mode(&cap.design, &cap.legacy, MatchMode::Lenient);
-        assert_eq!(fast.exercised, slow.exercised);
-        assert_eq!(fast.warnings, slow.warnings);
+        let spec = synthetic_chain(length, true);
+        let design = spec.build_design().unwrap();
+        let mut cluster = spec.build_cluster().unwrap();
+        cluster.set_interner(Arc::clone(design.interner()));
+        let mut sim = Simulator::new(cluster).unwrap();
+        let mut sink = CompactRecordingSink::new(Arc::clone(design.interner()));
+        sim.run(SimTime::from_us(200), &mut sink).unwrap();
+        let log = sink.events;
+        let statics = analyse(&design);
+        let automaton = MatchAutomaton::new(&design, &statics);
 
         let mut group = c.benchmark_group(format!("matching/chain{length}"));
-        group.throughput(Throughput::Elements(cap.compact.len() as u64));
-        group.bench_function("legacy", |b| {
-            b.iter(|| {
-                black_box(analyse_events_with_mode(
-                    &cap.design,
-                    black_box(&cap.legacy),
-                    MatchMode::Lenient,
-                ))
-            })
-        });
+        group.throughput(Throughput::Elements(log.len() as u64));
         group.bench_function("interned", |b| {
             b.iter(|| {
-                black_box(
-                    automaton.analyse_with_coverage(black_box(&cap.compact), MatchMode::Lenient),
-                )
+                black_box(automaton.analyse_with_coverage(black_box(&log), MatchMode::Lenient))
             })
         });
         group.finish();

@@ -5,8 +5,7 @@
 use ams_models::sensor::{
     build_sensor_cluster, sensor_design, sensor_testcases, BUGGY_ADC_FULL_SCALE,
 };
-use criterion::{criterion_group, BenchmarkId, Criterion};
-use dft_core::synth::synthetic_chain;
+use criterion::{criterion_group, Criterion};
 use dft_core::DftSession;
 use std::hint::black_box;
 
@@ -44,66 +43,7 @@ fn bench_full_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_dynamic_matching(c: &mut Criterion) {
-    use tdf_sim::{RecordingSink, Simulator};
-    let mut group = c.benchmark_group("dynamic_matching");
-
-    // Record one event log, then benchmark matching alone (stage 2's
-    // log-analysis half, separated from simulation).
-    let design = sensor_design(BUGGY_ADC_FULL_SCALE).unwrap();
-    let tc = &sensor_testcases()[1];
-    let (cluster, _) = build_sensor_cluster(tc, BUGGY_ADC_FULL_SCALE).unwrap();
-    let mut sim = Simulator::new(cluster).unwrap();
-    let mut sink = RecordingSink::new();
-    sim.run(tc.duration, &mut sink).unwrap();
-    let events = sink.events;
-
-    group.bench_function("match_tc2_event_log", |b| {
-        b.iter(|| black_box(dft_core::analyse_events(&design, black_box(&events))))
-    });
-    group.finish();
-}
-
-/// Thread scaling of the per-testcase dynamic log matching: one synthetic
-/// chain simulated once, its event log replayed as a batch of testcases
-/// through `analyse_events_batch` at 1..N workers.
-fn bench_matching_thread_scaling(c: &mut Criterion) {
-    use tdf_sim::{RecordingSink, SimTime, Simulator};
-    let mut group = c.benchmark_group("matching_thread_scaling");
-    group.sample_size(10);
-
-    let spec = synthetic_chain(12, false);
-    let design = spec.build_design().unwrap();
-    let cluster = spec.build_cluster().unwrap();
-    let mut sim = Simulator::new(cluster).unwrap();
-    let mut sink = RecordingSink::new();
-    sim.run(SimTime::from_ms(2), &mut sink).unwrap();
-    let logs: Vec<_> = (0..8).map(|_| sink.events.clone()).collect();
-
-    for &threads in &[1usize, 2, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    black_box(dft_core::analyse_events_batch(
-                        black_box(&design),
-                        &logs,
-                        threads,
-                    ))
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_full_pipeline,
-    bench_dynamic_matching,
-    bench_matching_thread_scaling
-);
+criterion_group!(benches, bench_full_pipeline);
 
 fn main() {
     benches();

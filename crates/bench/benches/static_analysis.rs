@@ -5,7 +5,7 @@
 
 use ams_models::{buck_boost, sensor, window_lifter};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dataflow::{path_facts, path_facts_uncached, Cfg, ReachingDefs};
+use dataflow::{path_facts, Cfg, ReachingDefs};
 use dft_core::synth::synthetic_chain;
 use std::hint::black_box;
 
@@ -30,9 +30,9 @@ fn bench_static(c: &mut Criterion) {
     group.finish();
 }
 
-/// Cached transitive closure vs. per-query BFS for the du-path facts of
-/// every reaching pair of a synthetic chain — the O(pairs × defs × E)
-/// hot spot the cache removes.
+/// The du-path facts of every reaching pair of a synthetic chain, answered
+/// from the cached transitive closure — the O(pairs × defs × E) hot spot a
+/// per-query BFS would be.
 fn bench_reachability_cache(c: &mut Criterion) {
     let mut group = c.benchmark_group("reachability_cache");
     for &n in &[8usize, 32] {
@@ -53,17 +53,6 @@ fn bench_reachability_cache(c: &mut Criterion) {
                 for (cfg, rd) in flows {
                     for pair in rd.pairs() {
                         non_du += usize::from(path_facts(cfg, rd, pair).has_non_du_path);
-                    }
-                }
-                black_box(non_du)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("uncached", n), &flows, |b, flows| {
-            b.iter(|| {
-                let mut non_du = 0usize;
-                for (cfg, rd) in flows {
-                    for pair in rd.pairs() {
-                        non_du += usize::from(path_facts_uncached(cfg, rd, pair).has_non_du_path);
                     }
                 }
                 black_box(non_du)

@@ -1,9 +1,7 @@
 //! Coverage-guided generation throughput: candidates evaluated per
-//! second on synthetic chain designs, at 1 and 4 matcher threads. The
-//! interesting ratio is chain length versus throughput (the per-candidate
-//! cost is simulation plus batch log matching; generation bookkeeping
-//! should stay negligible) and the 1→4 thread speed-up of the matching
-//! half.
+//! second on synthetic chain designs. The interesting ratio is chain
+//! length versus throughput (the per-candidate cost is simulation with
+//! streamed matching; generation bookkeeping should stay negligible).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dft_core::synth::synthetic_chain;
@@ -12,7 +10,7 @@ use stimuli::Testcase;
 use tdf_sim::{RunLimits, SimTime};
 use testgen::{ChannelSpec, GenConfig, Generator};
 
-fn run_generation(length: usize, threads: usize, iterations: usize, candidates: usize) -> usize {
+fn run_generation(length: usize, iterations: usize, candidates: usize) -> usize {
     let spec = synthetic_chain(length, true);
     let design = spec.build_design().unwrap();
     let build = move |tc: &Testcase| {
@@ -26,7 +24,6 @@ fn run_generation(length: usize, threads: usize, iterations: usize, candidates: 
         candidates_per_iteration: candidates,
         stagnation_limit: iterations, // never stop early: fixed work per run
         limits: RunLimits::none().with_max_activations(1_000_000),
-        threads,
         target_exercised: None,
         ..GenConfig::default()
     };
@@ -52,11 +49,9 @@ fn bench_testgen(c: &mut Criterion) {
     group.throughput(Throughput::Elements((ITERS * CANDS) as u64));
 
     for length in [2usize, 6] {
-        for threads in [1usize, 4] {
-            group.bench_function(format!("chain{length}/threads{threads}"), |b| {
-                b.iter(|| black_box(run_generation(black_box(length), threads, ITERS, CANDS)))
-            });
-        }
+        group.bench_function(format!("chain{length}"), |b| {
+            b.iter(|| black_box(run_generation(black_box(length), ITERS, CANDS)))
+        });
     }
     group.finish();
 }

@@ -3,7 +3,7 @@
 //! and the test-adequacy criteria of §IV-B.2.
 //!
 //! This stage only sees exercised [`BitSet`]s, so it is agnostic to how
-//! stage 2 produced them — buffered log analysis or the streamed
+//! stage 2 produced them — a whole recorded log or the streamed
 //! [`crate::MatchCursor`] yield bit-identical inputs here.
 
 use std::collections::HashSet;

@@ -1,26 +1,28 @@
 //! Stage 2 of Fig. 3: dynamic analysis.
 //!
-//! Consumes the instrumentation event log of one testcase run and derives
-//! the set of *exercised* def-use associations plus runtime warnings
-//! (§V/§VI: "if there exists a use, but no definition, it is notified as a
-//! warning").
+//! The instrumentation events of one testcase run yield the set of
+//! *exercised* def-use associations plus runtime warnings (§V/§VI: "if
+//! there exists a use, but no definition, it is notified as a warning").
+//! [`crate::MatchAutomaton`] does the matching — fed one event at a time
+//! through a [`crate::MatchCursor`] as the simulation emits them — and
+//! this module holds the types it reports in:
 //!
-//! Two equivalent forms exist: the batch functions here take a complete
-//! event log, while [`crate::MatchCursor`] (built from the same
-//! [`crate::MatchAutomaton`]) accepts events one at a time as the
-//! simulation emits them — the streamed form sessions use by default.
-//! `tests/match_equiv.rs` holds the byte-equivalence gates between them.
+//! * a **use with feeding provenance** (an input-port read of a sample
+//!   stamped by a remote model or a redefining component) exercises the
+//!   cluster association `(prov.var, prov.line, prov.model, line, model)`;
+//! * a **use of an externally-driven input port** (no provenance but
+//!   defined) exercises the pseudo-def association at the model start line;
+//! * a **local/member use** pairs with the most recent definition of that
+//!   variable in the same model (members are seeded with a start-line
+//!   pseudo-definition because elaboration initialises them).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-use dataflow::Cfg;
-use tdf_interp::VarKind;
-use tdf_sim::{Event, SimTime};
+use tdf_sim::SimTime;
 
 use crate::assoc::Association;
-use crate::design::Design;
 
-/// How strictly [`analyse_events_with_mode`] treats malformed event logs.
+/// How strictly the match automaton treats malformed event logs.
 ///
 /// Strict mode trusts the log completely — the behaviour instrumented
 /// simulations have always had. Lenient mode validates every event against
@@ -119,353 +121,13 @@ pub struct DynamicResult {
     pub quarantined: u64,
 }
 
-/// Matches an event log into exercised associations.
-///
-/// * a **use with feeding provenance** (an input-port read of a sample
-///   stamped by a remote model or a redefining component) exercises the
-///   cluster association `(prov.var, prov.line, prov.model, line, model)`;
-/// * a **use of an externally-driven input port** (no provenance but
-///   defined) exercises the pseudo-def association at the model start line;
-/// * a **local/member use** pairs with the most recent definition of that
-///   variable in the same model (members are seeded with a start-line
-///   pseudo-definition because elaboration initialises them).
-pub fn analyse_events(design: &Design, events: &[Event]) -> DynamicResult {
-    analyse_events_with_mode(design, events, MatchMode::Strict)
-}
-
-/// True when `model` exists somewhere in the design: a declared model
-/// interface, a netlist module instance (library components included), or
-/// the cluster architecture itself (provenance stamped by redefining
-/// components and `parallel_print` carries the architecture name).
-fn model_is_known(design: &Design, model: &str) -> bool {
-    design.interface(model).is_some()
-        || design.netlist().module(model).is_some()
-        || model == design.netlist().cluster
-}
-
-/// Per-model vocabulary for lenient validation: interface names (ports and
-/// members) plus every variable read or written anywhere in the model's
-/// `processing()` source. Only models with a declared interface get an
-/// entry — events of library/architecture models are not vocabulary-checked
-/// because their "variables" are netlist port names, not source symbols.
-fn known_variables(design: &Design) -> HashMap<String, HashSet<String>> {
-    let mut vocab: HashMap<String, HashSet<String>> = HashMap::new();
-    for def in design.models() {
-        let mut names: HashSet<String> = HashSet::new();
-        for p in &def.interface.inputs {
-            names.insert(p.name.clone());
-        }
-        for p in &def.interface.outputs {
-            names.insert(p.name.clone());
-        }
-        for (m, _) in &def.interface.members {
-            names.insert(m.clone());
-        }
-        if let Some(f) = design.tu().processing(&def.model) {
-            let cfg = Cfg::from_function(f);
-            for node in cfg.nodes() {
-                for d in &node.def_use.defs {
-                    names.insert(d.name.clone());
-                }
-                for u in &node.def_use.uses {
-                    names.insert(u.name.clone());
-                }
-            }
-        }
-        vocab.insert(def.model.clone(), names);
-    }
-    vocab
-}
-
-/// [`analyse_events`] with an explicit [`MatchMode`].
-///
-/// In [`MatchMode::Lenient`] each event is validated before matching:
-/// unknown models, unknown variables and per-model backwards timestamps are
-/// quarantined (skipped, warned once, counted). A quarantined *definition*
-/// additionally poisons the pending `last_def` entry for its `(model, var)`
-/// so that later uses report [`DynamicWarning::UseWithoutDef`] instead of
-/// silently pairing with a stale older definition — this is what guarantees
-/// lenient mode never exercises associations strict mode would not.
-pub fn analyse_events_with_mode(
-    design: &Design,
-    events: &[Event],
-    mode: MatchMode,
-) -> DynamicResult {
-    let _span = obs::span("stage.match");
-    static EVENTS_MATCHED: obs::Counter = obs::Counter::new("match.events");
-    static QUARANTINED: obs::Counter = obs::Counter::new("match.quarantined_events");
-    EVENTS_MATCHED.add(events.len() as u64);
-
-    // Lenient-mode validation vocabulary, in owned string form.
-    let vocab_src = match mode {
-        MatchMode::Strict => HashMap::new(),
-        MatchMode::Lenient => known_variables(design),
-    };
-
-    // Per-call borrowing interner: every hot map below is keyed on these
-    // compact ids instead of cloned `String` pairs, so steady-state
-    // matching allocates nothing. Strings are materialised only on the
-    // first occurrence of a site (a warning, an exercised pair, an
-    // executed def). For the cross-session fast path see
-    // [`MatchAutomaton`](crate::MatchAutomaton), which hoists the id
-    // tables out of the per-call scope entirely.
-    fn sym<'a>(ids: &mut HashMap<&'a str, u32>, s: &'a str) -> u32 {
-        match ids.get(s) {
-            Some(&id) => id,
-            None => {
-                let id = ids.len() as u32;
-                ids.insert(s, id);
-                id
-            }
-        }
-    }
-    let mut ids: HashMap<&str, u32> = HashMap::new();
-
-    let mut exercised: HashSet<Association> = HashSet::new();
-    let mut seen_pair: HashSet<(u32, u32, u32, u32, u32)> = HashSet::new();
-    let mut defs_executed: HashSet<(String, String, u32)> = HashSet::new();
-    let mut seen_def: HashSet<(u32, u32, u32)> = HashSet::new();
-    let mut warnings: Vec<DynamicWarning> = Vec::new();
-    let mut warned: HashSet<(u32, u32, u32)> = HashSet::new();
-    // Last definition line per (model, var).
-    let mut last_def: HashMap<(u32, u32), u32> = HashMap::new();
-
-    // Lenient-mode validation state.
-    let mut vocab: HashMap<u32, HashSet<u32>> = HashMap::new();
-    for (model, names) in &vocab_src {
-        let m = sym(&mut ids, model);
-        let names: HashSet<u32> = names.iter().map(|n| sym(&mut ids, n)).collect();
-        vocab.insert(m, names);
-    }
-    let mut last_time: HashMap<u32, SimTime> = HashMap::new();
-    let mut quarantined: u64 = 0;
-    let mut warned_models: HashSet<u32> = HashSet::new();
-    let mut warned_times: HashSet<u32> = HashSet::new();
-    let mut warned_vars: HashSet<(u32, u32)> = HashSet::new();
-    // Design lookups scan the model list linearly; memoise per site.
-    let mut known_memo: HashMap<u32, bool> = HashMap::new();
-    let mut inport_memo: HashMap<(u32, u32), bool> = HashMap::new();
-    let mut start_memo: HashMap<u32, u32> = HashMap::new();
-
-    // Seed members with their elaboration-time initial values.
-    for def in design.models() {
-        let m = sym(&mut ids, &def.model);
-        for (member, _) in &def.interface.members {
-            let v = sym(&mut ids, member);
-            last_def.insert((m, v), design.start_line(&def.model));
-        }
-    }
-
-    for ev in events {
-        let (time, model, var, line) = match ev {
-            Event::Def {
-                time,
-                model,
-                var,
-                line,
-            }
-            | Event::Use {
-                time,
-                model,
-                var,
-                line,
-                ..
-            } => (*time, model.as_str(), var.as_str(), *line),
-        };
-        let msym = sym(&mut ids, model);
-        let vsym = sym(&mut ids, var);
-        if mode == MatchMode::Lenient {
-            let known = *known_memo
-                .entry(msym)
-                .or_insert_with(|| model_is_known(design, model));
-            // `Some(w)` quarantines the event; the inner option is the
-            // warning to record (None once a site has already warned).
-            let quarantine_reason: Option<Option<DynamicWarning>> =
-                if !known {
-                    Some(
-                        warned_models
-                            .insert(msym)
-                            .then(|| DynamicWarning::UnknownModel {
-                                model: model.to_string(),
-                                time,
-                            }),
-                    )
-                } else if let Some(&last) = last_time.get(&msym).filter(|&&last| time < last) {
-                    Some(
-                        warned_times
-                            .insert(msym)
-                            .then(|| DynamicWarning::NonMonotoneTimestamp {
-                                model: model.to_string(),
-                                time,
-                                last,
-                            }),
-                    )
-                } else if vocab.get(&msym).is_some_and(|names| !names.contains(&vsym)) {
-                    Some(warned_vars.insert((msym, vsym)).then(|| {
-                        DynamicWarning::UnknownVariable {
-                            model: model.to_string(),
-                            var: var.to_string(),
-                            time,
-                        }
-                    }))
-                } else if let Event::Use {
-                    feeding: Some(prov),
-                    ..
-                } = ev
-                {
-                    // Provenance must also name a real model, else the pair
-                    // it would exercise is fabricated.
-                    let psym = sym(&mut ids, &prov.model);
-                    let pknown = *known_memo
-                        .entry(psym)
-                        .or_insert_with(|| model_is_known(design, &prov.model));
-                    (!pknown).then(|| {
-                        warned_models
-                            .insert(psym)
-                            .then(|| DynamicWarning::UnknownModel {
-                                model: prov.model.clone(),
-                                time,
-                            })
-                    })
-                } else {
-                    None
-                };
-            if let Some(warning) = quarantine_reason {
-                quarantined += 1;
-                if let Some(w) = warning {
-                    warnings.push(w);
-                }
-                // Poison the pending definition: a quarantined def must not
-                // let later uses pair with an older, stale definition.
-                if matches!(ev, Event::Def { .. }) {
-                    last_def.remove(&(msym, vsym));
-                }
-                continue;
-            }
-            last_time.insert(msym, time);
-        }
-        match ev {
-            Event::Def { .. } => {
-                last_def.insert((msym, vsym), line);
-                if seen_def.insert((msym, vsym, line)) {
-                    defs_executed.insert((model.to_string(), var.to_string(), line));
-                }
-            }
-            Event::Use {
-                feeding, defined, ..
-            } => {
-                if let Some(prov) = feeding {
-                    let pm = sym(&mut ids, &prov.model);
-                    let pv = sym(&mut ids, &prov.var);
-                    if seen_def.insert((pm, pv, prov.line)) {
-                        defs_executed.insert((prov.model.clone(), prov.var.clone(), prov.line));
-                    }
-                    if seen_pair.insert((pv, prov.line, pm, line, msym)) {
-                        exercised.insert(Association::new(
-                            prov.var.clone(),
-                            prov.line,
-                            prov.model.clone(),
-                            line,
-                            model.to_string(),
-                        ));
-                    }
-                    continue;
-                }
-                let inport = *inport_memo
-                    .entry((msym, vsym))
-                    .or_insert_with(|| matches!(design.kind_of(model, var), VarKind::InPort(_)));
-                if inport {
-                    if *defined {
-                        let dline = *start_memo
-                            .entry(msym)
-                            .or_insert_with(|| design.start_line(model));
-                        if seen_pair.insert((vsym, dline, msym, line, msym)) {
-                            exercised.insert(Association::new(
-                                var.to_string(),
-                                dline,
-                                model.to_string(),
-                                line,
-                                model.to_string(),
-                            ));
-                        }
-                    } else if warned.insert((msym, vsym, line)) {
-                        warnings.push(DynamicWarning::UndefinedSampleRead {
-                            model: model.to_string(),
-                            var: var.to_string(),
-                            line,
-                            time,
-                        });
-                    }
-                } else {
-                    match last_def.get(&(msym, vsym)) {
-                        Some(&dline) => {
-                            if seen_pair.insert((vsym, dline, msym, line, msym)) {
-                                exercised.insert(Association::new(
-                                    var.to_string(),
-                                    dline,
-                                    model.to_string(),
-                                    line,
-                                    model.to_string(),
-                                ));
-                            }
-                        }
-                        None => {
-                            if warned.insert((msym, vsym, line)) {
-                                warnings.push(DynamicWarning::UseWithoutDef {
-                                    model: model.to_string(),
-                                    var: var.to_string(),
-                                    line,
-                                    time,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    static ASSOC_EXERCISED: obs::Counter = obs::Counter::new("match.associations_exercised");
-    ASSOC_EXERCISED.add(exercised.len() as u64);
-    QUARANTINED.add(quarantined);
-    DynamicResult {
-        exercised,
-        defs_executed,
-        warnings,
-        quarantined,
-    }
-}
-
-/// Matches many event logs at once, fanning the per-log work of
-/// [`analyse_events`] out across up to `threads` scoped workers. Logs are
-/// independent, so this is a pure speedup: results come back in input
-/// order, identical to mapping [`analyse_events`] sequentially.
-pub fn analyse_events_batch(
-    design: &Design,
-    logs: &[Vec<Event>],
-    threads: usize,
-) -> Vec<DynamicResult> {
-    analyse_events_batch_with_mode(design, logs, threads, MatchMode::Strict)
-}
-
-/// [`analyse_events_batch`] with an explicit [`MatchMode`] applied to every
-/// log.
-pub fn analyse_events_batch_with_mode(
-    design: &Design,
-    logs: &[Vec<Event>],
-    threads: usize,
-    mode: MatchMode,
-) -> Vec<DynamicResult> {
-    crate::par::par_map(logs, threads, |events| {
-        analyse_events_with_mode(design, events, mode)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::design::Design;
+    use crate::matcher::MatchAutomaton;
     use tdf_interp::{Interface, TdfModelDef};
-    use tdf_sim::{ModuleClass, ModuleInfo, Netlist, Provenance};
+    use tdf_sim::{CompactEvent, Event, ModuleClass, ModuleInfo, Netlist, Provenance};
 
     fn design() -> Design {
         let src = "void M::processing()\n{\n    double t = ip_x;\n    op_y = t;\n}";
@@ -488,6 +150,18 @@ mod tests {
             }],
         };
         Design::new(tu, models, netlist).unwrap()
+    }
+
+    /// Matches `events` in `mode` with an automaton built from scratch
+    /// over `design`.
+    fn match_events(design: &Design, events: &[Event], mode: MatchMode) -> DynamicResult {
+        let statics = crate::statics::analyse(design);
+        let automaton = MatchAutomaton::new(design, &statics);
+        let compact: Vec<CompactEvent> = events
+            .iter()
+            .map(|e| CompactEvent::from_event(e, automaton.interner()))
+            .collect();
+        automaton.analyse(&compact, mode)
     }
 
     fn def(model: &str, var: &str, line: u32) -> Event {
@@ -519,7 +193,7 @@ mod tests {
             def("M", "t", 9),
             use_local("M", "t", 10),
         ];
-        let r = analyse_events(&d, &events);
+        let r = match_events(&d, &events, MatchMode::Strict);
         assert!(r.exercised.contains(&Association::new("t", 3, "M", 4, "M")));
         assert!(r
             .exercised
@@ -541,7 +215,7 @@ mod tests {
             feeding: Some(Provenance::new("op_out", 14, "TS")),
             defined: true,
         }];
-        let r = analyse_events(&d, &events);
+        let r = match_events(&d, &events, MatchMode::Strict);
         assert!(r
             .exercised
             .contains(&Association::new("op_out", 14, "TS", 3, "M")));
@@ -558,7 +232,7 @@ mod tests {
             feeding: None,
             defined: true,
         }];
-        let r = analyse_events(&d, &events);
+        let r = match_events(&d, &events, MatchMode::Strict);
         // M::processing() is on line 1.
         assert!(r
             .exercised
@@ -576,7 +250,7 @@ mod tests {
             feeding: None,
             defined: false,
         };
-        let r = analyse_events(&d, &[ev.clone(), ev]);
+        let r = match_events(&d, &[ev.clone(), ev], MatchMode::Strict);
         assert_eq!(r.warnings.len(), 1);
         assert!(matches!(
             &r.warnings[0],
@@ -588,7 +262,7 @@ mod tests {
     #[test]
     fn local_use_without_def_warns() {
         let d = design();
-        let r = analyse_events(&d, &[use_local("M", "t", 4)]);
+        let r = match_events(&d, &[use_local("M", "t", 4)], MatchMode::Strict);
         assert_eq!(r.warnings.len(), 1);
         assert!(matches!(
             &r.warnings[0],
@@ -599,7 +273,7 @@ mod tests {
     #[test]
     fn member_initial_value_counts_as_start_line_def() {
         let d = design();
-        let r = analyse_events(&d, &[use_local("M", "m_s", 3)]);
+        let r = match_events(&d, &[use_local("M", "m_s", 3)], MatchMode::Strict);
         assert!(
             r.warnings.is_empty(),
             "members are initialised at elaboration"
@@ -616,7 +290,7 @@ mod tests {
             def("M", "m_s", 7),
             use_local("M", "m_s", 3), // next activation, observes line 7
         ];
-        let r = analyse_events(&d, &events);
+        let r = match_events(&d, &events, MatchMode::Strict);
         assert!(r
             .exercised
             .contains(&Association::new("m_s", 7, "M", 3, "M")));
@@ -659,8 +333,8 @@ mod tests {
                 defined: true,
             },
         ];
-        let strict = analyse_events_with_mode(&d, &events, MatchMode::Strict);
-        let lenient = analyse_events_with_mode(&d, &events, MatchMode::Lenient);
+        let strict = match_events(&d, &events, MatchMode::Strict);
+        let lenient = match_events(&d, &events, MatchMode::Lenient);
         assert_eq!(strict.exercised, lenient.exercised);
         assert_eq!(strict.defs_executed, lenient.defs_executed);
         assert_eq!(strict.warnings, lenient.warnings);
@@ -674,7 +348,7 @@ mod tests {
             use_at("__ghost_model_0", "t", 4, 0),
             use_at("__ghost_model_0", "t", 4, 1),
         ];
-        let r = analyse_events_with_mode(&d, &events, MatchMode::Lenient);
+        let r = match_events(&d, &events, MatchMode::Lenient);
         assert_eq!(r.quarantined, 2);
         assert_eq!(r.warnings.len(), 1);
         assert!(matches!(
@@ -696,7 +370,7 @@ mod tests {
             feeding: Some(Provenance::new("op_out", 14, "top")),
             defined: true,
         }];
-        let r = analyse_events_with_mode(&d, &events, MatchMode::Lenient);
+        let r = match_events(&d, &events, MatchMode::Lenient);
         assert_eq!(r.quarantined, 0);
         assert!(r
             .exercised
@@ -711,7 +385,7 @@ mod tests {
             def_at("M", "t", 9, 0), // time warped backwards: quarantined
             use_at("M", "t", 10, 10),
         ];
-        let r = analyse_events_with_mode(&d, &events, MatchMode::Lenient);
+        let r = match_events(&d, &events, MatchMode::Lenient);
         assert_eq!(r.quarantined, 1);
         // The stale line-3 def must NOT pair with the line-10 use: the
         // quarantined redefinition poisoned it.
@@ -728,7 +402,7 @@ mod tests {
     #[test]
     fn lenient_quarantines_unknown_variables() {
         let d = design();
-        let r = analyse_events_with_mode(
+        let r = match_events(
             &d,
             &[use_at("M", "__ghost_var_0", 4, 0)],
             MatchMode::Lenient,
@@ -752,7 +426,7 @@ mod tests {
             feeding: Some(Provenance::new("op_out", 14, "__ghost_model_2")),
             defined: true,
         }];
-        let r = analyse_events_with_mode(&d, &events, MatchMode::Lenient);
+        let r = match_events(&d, &events, MatchMode::Lenient);
         assert_eq!(r.quarantined, 1);
         assert!(r.exercised.is_empty());
         assert!(matches!(

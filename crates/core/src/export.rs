@@ -35,8 +35,8 @@ pub fn associations_to_csv(sa: &StaticAnalysis) -> String {
 
 /// Exports the subsumption reduction as CSV:
 /// `class,association,role,implies` — `role` is `tracked` (frontier) or
-/// `dropped` (reconstructed from an implying frontier row), `implies` is
-/// the number of dropped associations a tracked row implies.
+/// `dropped` (implied by a frontier row), `implies` is the number of
+/// dropped associations a tracked row implies.
 pub fn subsumption_to_csv(sa: &StaticAnalysis) -> String {
     let mut out = String::from("class,association,role,implies\n");
     for (i, c) in sa.associations.iter().enumerate() {

@@ -11,9 +11,10 @@
 //!    cluster binding information, computing every def-use association
 //!    `(v, d, dm, u, um)` and classifying it **Strong**, **Firm**,
 //!    **PFirm** or **PWeak** ([`Classification`]).
-//! 2. **Dynamic analysis** ([`analyse_events`]) — per testcase, matching
-//!    the instrumentation event log (from `tdf-interp`) into *exercised*
-//!    associations, and flagging uses without definitions.
+//! 2. **Dynamic analysis** ([`MatchAutomaton`]) — per testcase, matching
+//!    the instrumentation events (from `tdf-interp`) into *exercised*
+//!    associations as the simulation emits them, and flagging uses without
+//!    definitions.
 //! 3. **Coverage evaluation** ([`Coverage`]) — combining both into
 //!    per-class ratios and the adequacy criteria `all-Strong`, `all-Firm`,
 //!    `all-PFirm`, `all-PWeak`, `all-defs` and `all-dataflow`
@@ -49,25 +50,20 @@ pub use dft_monitor::{
     AssertionExpr, AssertionSpec, AssertionVerdict, CountBound, MonitorBank, MonitorSink,
     SignalPred, ThresholdKind, Verdict,
 };
-pub use dynamic::{
-    analyse_events, analyse_events_batch, analyse_events_batch_with_mode, analyse_events_with_mode,
-    DynamicResult, DynamicWarning, MatchMode,
-};
+pub use dynamic::{DynamicResult, DynamicWarning, MatchMode};
 pub use error::{DftError, Result};
 pub use explain::explain_association;
 pub use export::{
     associations_to_csv, coverage_to_csv, diagnosis_to_csv, subsumption_to_csv, verdicts_to_csv,
 };
-pub use matcher::{subsume_enabled, MatchAutomaton, MatchCursor, Tracking};
+pub use matcher::{MatchAutomaton, MatchCursor};
 pub use obs::{self, MetricsReport, TimerStat};
 pub use par::thread_count;
 pub use report::{
     render_subsumption, render_summary, render_table1, render_table2, render_verdicts, Table2Row,
 };
 pub use session::{
-    DftSession, MatchStrategy, RetryAttempt, RetryPolicy, RetryReport, SessionArtifacts,
-    SessionConfig, TestcaseSpec,
+    DftSession, RetryAttempt, RetryPolicy, RetryReport, SessionArtifacts, SessionConfig,
+    TestcaseSpec,
 };
-pub use statics::{
-    analyse, analyse_with_threads, incremental_enabled, StaticAnalysis, StaticLint, SubsumptionInfo,
-};
+pub use statics::{analyse, analyse_with_threads, StaticAnalysis, StaticLint, SubsumptionInfo};

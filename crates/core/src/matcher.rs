@@ -1,12 +1,9 @@
-//! A prebuilt match automaton over interned symbols — the fast path of the
-//! dynamic analysis.
+//! The match automaton: the dynamic analysis over interned symbols.
 //!
-//! [`analyse_events_with_mode`](crate::analyse_events_with_mode) re-derives
-//! everything it needs (per-model vocabularies, member seeds, string-keyed
-//! last-def tables) from the [`Design`] on every call and hashes two heap
-//! `String`s per event. A [`MatchAutomaton`] hoists all of that into dense
-//! tables indexed by the design-wide interned ids
-//! ([`Sym`](tdf_sim::Sym)) once per session:
+//! A [`MatchAutomaton`] derives everything per-event matching needs —
+//! per-model vocabularies, member seeds and the association index — from
+//! the [`Design`] and its [`StaticAnalysis`] once, into dense tables
+//! indexed by the design-wide interned ids ([`Sym`](tdf_sim::Sym)):
 //!
 //! * `model_row` maps a model symbol to a compact row id; per-row tables
 //!   hold the start line, the lenient-mode vocabulary, and the set of input
@@ -14,26 +11,27 @@
 //!   cares about);
 //! * `assoc_first` maps a fully-interned association key straight to its
 //!   index in [`StaticAnalysis::associations`], so coverage is a bitset OR
-//!   instead of a `HashSet<Association>` probe.
+//!   instead of a `HashSet<Association>` probe. Every association is
+//!   tracked; subsumption stays a static report.
 //!
 //! A session's automaton reads each model's vocabulary from the
 //! `processing()` CFG the static stage's per-model artifact already holds;
-//! only the public constructors build the CFGs themselves.
+//! only [`MatchAutomaton::new`] builds the CFGs itself.
 //!
 //! Per-event work is then two array lookups plus integer-keyed set
 //! operations; `String`s are only materialised on the *first* occurrence of
-//! a site (warnings, `defs_executed`, `exercised`). Results are
-//! byte-identical to the legacy matcher — the equivalence is enforced by
-//! the unit tests below and by `tests/match_equiv.rs`.
+//! a site (warnings, `defs_executed`, `exercised`). `tests/match_equiv.rs`
+//! checks the results against a string-keyed reference matcher that
+//! re-derives every table per call.
 //!
 //! The automaton is immutable after construction ([`Sync`]), so one
-//! instance is shared read-only across all `DFT_THREADS` workers; per-log
-//! mutable state lives on the worker's stack.
+//! instance is shared read-only by every session over the same artifacts;
+//! per-run mutable state lives in a [`MatchCursor`].
 //!
 //! Symbols interned *after* construction (fault-injected ghost names) are
 //! `>= frozen` and deliberately fall off every dense table: they are
-//! unknown models / out-of-vocabulary variables, exactly as the legacy
-//! matcher classifies never-declared strings.
+//! unknown models / out-of-vocabulary variables, exactly as never-declared
+//! strings are.
 
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -52,34 +50,6 @@ use crate::dynamic::{DynamicResult, DynamicWarning, MatchMode};
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::statics::{StaticAnalysis, StaticBuild};
 
-/// Which association rows a [`MatchAutomaton`] tracks on its hot path.
-///
-/// Either way the raw results are byte-identical: with [`Reduced`]
-/// tracking, the bits of subsumed associations are reconstructed exactly
-/// at [`MatchCursor::finish`] by probing the seen-pair set the cursor
-/// maintains for *every* first-seen key — the dynamic probe does not
-/// trust the static subsumption relation, so fault-injected or truncated
-/// logs cannot produce divergent coverage.
-///
-/// [`Reduced`]: Tracking::Reduced
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tracking {
-    /// Every association has a hot-path row (pre-subsumption behaviour).
-    Full,
-    /// Only the unsubsumed frontier is tracked per event; dropped bits
-    /// are reconstructed at finish time.
-    Reduced,
-}
-
-/// Whether subsumption-reduced tracking is enabled (the default).
-/// `DFT_SUBSUME=0` / `false` / `off` opts out, mirroring `DFT_STREAM`.
-pub fn subsume_enabled() -> bool {
-    !matches!(
-        std::env::var("DFT_SUBSUME"),
-        Ok(v) if v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off")
-    )
-}
-
 /// Fully-interned association key: `(var, def_line, def_model, use_line,
 /// use_model)`.
 type AssocKey = (u32, u32, u32, u32, u32);
@@ -94,8 +64,8 @@ const NO_DEF: u32 = u32::MAX;
 const NO_INDEX: u32 = u32::MAX;
 
 /// Precomputed matching tables for one design + static analysis (see the
-/// module docs). Build once per [`DftSession`](crate::DftSession); share
-/// by reference across worker threads.
+/// module docs). Built once per set of
+/// [`SessionArtifacts`](crate::SessionArtifacts); shared by reference.
 ///
 /// Its `Debug` rendering resolves every id to its name and sorts rows and
 /// keys, so automata built over different interners of the same design
@@ -122,16 +92,12 @@ pub struct MatchAutomaton {
     /// `(row, var_sym, start_line)` seeds for elaboration-initialised
     /// members, in declaration order (later duplicates overwrite).
     member_seeds: Vec<(u32, u32, u32)>,
-    /// Fully-interned association key -> its lowest tracked index into
+    /// Fully-interned association key -> its lowest index into
     /// [`StaticAnalysis::associations`].
     assoc_first: FxHashMap<AssocKey, u32>,
-    /// Per association index, the next tracked index with the same key
+    /// Per association index, the next index with the same key
     /// (`NO_INDEX` ends the chain).
     assoc_next: Vec<u32>,
-    /// Associations left out of `assoc_first` under [`Tracking::Reduced`]:
-    /// their bits are reconstructed at finish time by probing the
-    /// seen-pair set with the stored key.
-    dropped_keys: Vec<(AssocKey, u32)>,
     n_assocs: usize,
 }
 
@@ -176,18 +142,11 @@ impl fmt::Debug for MatchAutomaton {
             })
             .collect();
         assocs.sort();
-        let mut dropped: Vec<_> = self
-            .dropped_keys
-            .iter()
-            .map(|(k, i)| (key(k), *i))
-            .collect();
-        dropped.sort();
         f.debug_struct("MatchAutomaton")
             .field("frozen", &frozen)
             .field("rows", &rows)
             .field("member_seeds", &seeds)
             .field("assocs", &assocs)
-            .field("dropped", &dropped)
             .field("n_assocs", &self.n_assocs)
             .finish()
     }
@@ -205,7 +164,7 @@ struct LogState {
     last_def_extra: FxHashMap<(u32, u32), u32>,
     /// Per-row latest observed timestamp (lenient mode).
     last_time: Vec<Option<tdf_sim::SimTime>>,
-    /// Once-per-site gates, mirroring the legacy warning sets.
+    /// Once-per-site warning gates.
     warned: FxHashSet<(u32, u32, u32)>,
     warned_models: FxHashSet<u32>,
     warned_times: FxHashSet<u32>,
@@ -218,42 +177,25 @@ struct LogState {
 }
 
 impl MatchAutomaton {
-    /// Builds the automaton for `design` + `statics` with the tracking
-    /// policy taken from the environment ([`subsume_enabled`]).
+    /// Builds the automaton for `design` + `statics`, interning every name
+    /// either can mention and freezing the id space. Each model's
+    /// `processing()` CFG is built here, once.
     pub fn new(design: &Design, statics: &StaticAnalysis) -> MatchAutomaton {
-        let tracking = if subsume_enabled() {
-            Tracking::Reduced
-        } else {
-            Tracking::Full
-        };
-        Self::with_tracking(design, statics, tracking)
+        Self::build(design, statics, |_| None)
     }
 
-    /// Builds the automaton for `design` + `statics` with an explicit
-    /// [`Tracking`] policy, interning every name either can mention and
-    /// freezing the id space. Each model's `processing()` CFG is built
-    /// here, once.
-    pub fn with_tracking(
-        design: &Design,
-        statics: &StaticAnalysis,
-        tracking: Tracking,
-    ) -> MatchAutomaton {
-        Self::build(design, statics, tracking, |_| None)
-    }
-
-    /// [`Self::with_tracking`] for a design whose static stage produced
-    /// `build`: each model's vocabulary is read from the `processing()`
-    /// CFG its artifact already holds. Only a model without a healthy
-    /// artifact — declared but not a netlist user module, or one whose
-    /// classification panicked — gets a CFG built here.
+    /// [`Self::new`] for a design whose static stage produced `build`:
+    /// each model's vocabulary is read from the `processing()` CFG its
+    /// artifact already holds. Only a model without a healthy artifact —
+    /// declared but not a netlist user module, or one whose classification
+    /// panicked — gets a CFG built here.
     pub(crate) fn from_static_build(
         design: &Design,
         statics: &StaticAnalysis,
-        tracking: Tracking,
         build: &StaticBuild,
     ) -> MatchAutomaton {
         let cfgs = build.processing_cfgs();
-        Self::build(design, statics, tracking, |model| cfgs.get(model).copied())
+        Self::build(design, statics, |model| cfgs.get(model).copied())
     }
 
     /// The one table-building body: `static_cfg` supplies a model's
@@ -266,7 +208,6 @@ impl MatchAutomaton {
     fn build<'c>(
         design: &Design,
         statics: &StaticAnalysis,
-        tracking: Tracking,
         static_cfg: impl Fn(&str) -> Option<&'c Cfg>,
     ) -> MatchAutomaton {
         let interner = design.interner().clone();
@@ -377,17 +318,15 @@ impl MatchAutomaton {
         for (r, &name) in row_names.iter().enumerate() {
             row_start_line[r] = start_line(name);
             // Every input of the model's *first* interface resolves as an
-            // in-port there, exactly like the legacy strict path's
-            // `kind_of`.
+            // in-port there, exactly like `Design::kind_of`.
             if let Some(iface) = interfaces.get(name) {
                 for p in &iface.inputs {
                     row_inport[r].insert(interner.intern(&p.name).0 as usize);
                 }
             }
         }
-        // Vocabulary mirrors `known_variables`: iterate the model list in
-        // order so a duplicate definition overwrites (HashMap::insert
-        // semantics).
+        // Iterate the model list in order so a duplicate definition's
+        // vocabulary overwrites the earlier one's.
         let mut member_seeds = Vec::new();
         for (def, (model, all, members)) in design.models().iter().zip(&def_syms) {
             let r = model_row[model.0 as usize];
@@ -403,22 +342,18 @@ impl MatchAutomaton {
             }
         }
 
-        // `assoc_first` holds the lowest tracked index of each key and
+        // `assoc_first` holds the lowest index of each key and
         // `assoc_next` chains the rest in ascending order (a key repeats
         // only in a non-deduplicated association list).
         let n_assocs = keys.len();
         let mut assoc_first: FxHashMap<AssocKey, u32> =
             FxHashMap::with_capacity_and_hasher(n_assocs, Default::default());
         let mut assoc_next = vec![NO_INDEX; n_assocs];
-        let mut dropped_keys: Vec<(AssocKey, u32)> = Vec::new();
         for (i, &key) in keys.iter().enumerate().rev() {
-            if tracking == Tracking::Reduced && statics.subsumption.dropped.contains(i) {
-                dropped_keys.push((key, i as u32));
-            } else if let Some(next) = assoc_first.insert(key, i as u32) {
+            if let Some(next) = assoc_first.insert(key, i as u32) {
                 assoc_next[i] = next;
             }
         }
-        dropped_keys.reverse();
 
         MatchAutomaton {
             interner,
@@ -432,7 +367,6 @@ impl MatchAutomaton {
             member_seeds,
             assoc_first,
             assoc_next,
-            dropped_keys,
             n_assocs,
         }
     }
@@ -502,9 +436,9 @@ impl MatchAutomaton {
         ));
     }
 
-    /// Matches a compact event log; results are byte-identical to
-    /// [`analyse_events_with_mode`](crate::analyse_events_with_mode) on the
-    /// equivalent string log.
+    /// Matches a compact event log into exercised associations and
+    /// runtime warnings (see [`MatchMode`] for how malformed logs are
+    /// treated).
     pub fn analyse(&self, events: &[CompactEvent], mode: MatchMode) -> DynamicResult {
         self.analyse_with_coverage(events, mode).0
     }
@@ -548,10 +482,10 @@ impl MatchAutomaton {
     /// [`StaticAnalysis::associations`] indices: bit `i` is set iff
     /// `associations[i]` is in the returned `exercised` set.
     ///
-    /// This is the *buffered* entry point — a [`MatchCursor`] fed from a
-    /// fully materialized log. The streaming pipeline drives the same
-    /// cursor event by event instead (see [`Self::cursor`]), so the two
-    /// paths are byte-identical by construction.
+    /// This is the whole-log entry point — a [`MatchCursor`] fed from a
+    /// fully materialized log. Sessions drive the same cursor event by
+    /// event instead (see [`Self::cursor`]), so the two are byte-identical
+    /// by construction.
     pub fn analyse_with_coverage(
         &self,
         events: &[CompactEvent],
@@ -597,7 +531,7 @@ impl MatchCursor<'_> {
     }
 
     /// Consumes one event, updating the incremental state exactly as the
-    /// corresponding iteration of the buffered loop would.
+    /// corresponding iteration of the whole-log loop would.
     pub fn feed(&mut self, ev: &CompactEvent) {
         self.events += 1;
         let automaton = self.automaton;
@@ -742,22 +676,13 @@ impl MatchCursor<'_> {
     }
 
     /// Finalizes the pass: records the aggregate `match.*` counters and
-    /// returns the result plus coverage bitset — byte-identical to the
-    /// buffered [`MatchAutomaton::analyse_with_coverage`] over the same
-    /// event sequence.
-    pub fn finish(mut self) -> (DynamicResult, BitSet) {
+    /// returns the result plus coverage bitset — byte-identical to
+    /// [`MatchAutomaton::analyse_with_coverage`] over the same event
+    /// sequence.
+    pub fn finish(self) -> (DynamicResult, BitSet) {
         static EVENTS_MATCHED: obs::Counter = obs::Counter::new("match.events");
         static ASSOC_EXERCISED: obs::Counter = obs::Counter::new("match.associations_exercised");
         static QUARANTINED: obs::Counter = obs::Counter::new("match.quarantined_events");
-        // Reconstruct the bits of associations reduced off the hot path:
-        // the seen-pair set records every first-seen key regardless of
-        // tracking policy, so probing it here is exact on any log — the
-        // static subsumption relation is never trusted for coverage.
-        for &(key, idx) in &self.automaton.dropped_keys {
-            if self.st.seen_pair.contains(&key) {
-                self.bits.insert(idx as usize);
-            }
-        }
         EVENTS_MATCHED.add(self.events);
         ASSOC_EXERCISED.add(self.exercised.len() as u64);
         QUARANTINED.add(self.quarantined);
@@ -825,7 +750,6 @@ impl LogState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamic::analyse_events_with_mode;
     use tdf_interp::{Interface, TdfModelDef};
     use tdf_sim::{Event, ModuleClass, ModuleInfo, Netlist, Provenance, SimTime};
 
@@ -852,26 +776,6 @@ mod tests {
         Design::new(tu, models, netlist).unwrap()
     }
 
-    fn def_at(model: &str, var: &str, line: u32, us: u64) -> Event {
-        Event::Def {
-            time: SimTime::from_us(us),
-            model: model.into(),
-            var: var.into(),
-            line,
-        }
-    }
-
-    fn use_at(model: &str, var: &str, line: u32, us: u64) -> Event {
-        Event::Use {
-            time: SimTime::from_us(us),
-            model: model.into(),
-            var: var.into(),
-            line,
-            feeding: None,
-            defined: true,
-        }
-    }
-
     fn fed(model: &str, var: &str, line: u32, prov: Provenance) -> Event {
         Event::Use {
             time: SimTime::ZERO,
@@ -881,188 +785,6 @@ mod tests {
             feeding: Some(prov),
             defined: true,
         }
-    }
-
-    /// Runs `events` through both matchers in `mode` and asserts the
-    /// results are identical field by field; returns the automaton pair
-    /// for extra assertions.
-    fn assert_equiv(design: &Design, events: &[Event], mode: MatchMode) -> (DynamicResult, BitSet) {
-        let statics = crate::statics::analyse(design);
-        let automaton = MatchAutomaton::new(design, &statics);
-        let compact: Vec<CompactEvent> = events
-            .iter()
-            .map(|e| CompactEvent::from_event(e, automaton.interner()))
-            .collect();
-        let legacy = analyse_events_with_mode(design, events, mode);
-        let (fast, bits) = automaton.analyse_with_coverage(&compact, mode);
-        assert_eq!(fast.exercised, legacy.exercised);
-        assert_eq!(fast.defs_executed, legacy.defs_executed);
-        assert_eq!(fast.warnings, legacy.warnings);
-        assert_eq!(fast.quarantined, legacy.quarantined);
-        // Bit i set iff associations[i] was exercised.
-        for (i, ca) in statics.associations.iter().enumerate() {
-            assert_eq!(
-                bits.contains(i),
-                fast.exercised.contains(&ca.assoc),
-                "bit {i} disagrees with the exercised set for {}",
-                ca.assoc
-            );
-        }
-        (fast, bits)
-    }
-
-    #[test]
-    fn matches_legacy_on_a_healthy_log_in_both_modes() {
-        let d = design();
-        let events = vec![
-            def_at("M", "t", 3, 0),
-            use_at("M", "t", 4, 0),
-            def_at("M", "m_s", 7, 1),
-            use_at("M", "m_s", 3, 2),
-            use_at("M", "ip_x", 3, 2),
-            fed("M", "ip_x", 3, Provenance::new("op_y", 4, "M")),
-            fed("M", "ip_x", 3, Provenance::new("op_out", 14, "top")),
-        ];
-        let (strict, _) = assert_equiv(&d, &events, MatchMode::Strict);
-        assert!(strict
-            .exercised
-            .contains(&Association::new("t", 3, "M", 4, "M")));
-        assert!(strict
-            .exercised
-            .contains(&Association::new("ip_x", 1, "M", 3, "M")));
-        assert!(strict
-            .exercised
-            .contains(&Association::new("op_out", 14, "top", 3, "M")));
-        assert_equiv(&d, &events, MatchMode::Lenient);
-    }
-
-    #[test]
-    fn matches_legacy_on_unknown_models_in_strict_mode() {
-        // Strict mode matches events of models the design never declared
-        // (their symbols may even be interned post-freeze): they take the
-        // overflow last-def path.
-        let d = design();
-        let events = vec![
-            def_at("TS", "x", 5, 0),
-            use_at("TS", "x", 6, 0),
-            fed("M", "ip_x", 3, Provenance::new("op_out", 14, "TS")),
-            use_at("TS", "y", 7, 0), // use without def in an unknown model
-        ];
-        let (strict, _) = assert_equiv(&d, &events, MatchMode::Strict);
-        assert!(strict
-            .exercised
-            .contains(&Association::new("x", 5, "TS", 6, "TS")));
-        assert!(strict
-            .exercised
-            .contains(&Association::new("op_out", 14, "TS", 3, "M")));
-    }
-
-    #[test]
-    fn matches_legacy_on_ghost_corruption_in_lenient_mode() {
-        let d = design();
-        let events = vec![
-            use_at("__ghost_model_0", "t", 4, 0),
-            use_at("__ghost_model_0", "t", 4, 1),
-            use_at("M", "__ghost_var_0", 4, 0),
-            fed(
-                "M",
-                "ip_x",
-                3,
-                Provenance::new("op_out", 14, "__ghost_model_2"),
-            ),
-            def_at("M", "t", 3, 0),
-            use_at("M", "t", 4, 0),
-        ];
-        let (lenient, _) = assert_equiv(&d, &events, MatchMode::Lenient);
-        assert_eq!(lenient.quarantined, 4);
-        // Ghost events also behave like legacy when strict mode trusts them.
-        assert_equiv(&d, &events, MatchMode::Strict);
-    }
-
-    #[test]
-    fn matches_legacy_on_backward_time_def_poisoning() {
-        let d = design();
-        let events = vec![
-            def_at("M", "t", 3, 10),
-            def_at("M", "t", 9, 0), // warped backwards: quarantined, poisons
-            use_at("M", "t", 10, 10),
-        ];
-        let (lenient, bits) = assert_equiv(&d, &events, MatchMode::Lenient);
-        assert_eq!(lenient.quarantined, 1);
-        assert!(lenient.exercised.is_empty());
-        assert!(bits.is_empty());
-    }
-
-    #[test]
-    fn reduced_tracking_reconstructs_full_coverage_bits() {
-        // Three local pairs where (t,3 -> 5) subsumes both (t,3 -> 4) and
-        // (u,4 -> 5), so the statics drop two rows from the frontier.
-        let src = "void M::processing()\n{\n    double t = ip_x;\n    double u = t;\n    op_y = t + u;\n}";
-        let tu = minic::parse(src).unwrap();
-        let models = vec![TdfModelDef::new(
-            "M",
-            Interface::new().input("ip_x").output("op_y"),
-        )];
-        let netlist = Netlist {
-            cluster: "top".into(),
-            bindings: vec![],
-            modules: vec![ModuleInfo {
-                name: "M".into(),
-                class: ModuleClass::UserCode,
-                in_ports: vec!["ip_x".into()],
-                out_ports: vec!["op_y".into()],
-            }],
-        };
-        let d = Design::new(tu, models, netlist).unwrap();
-        let statics = crate::statics::analyse(&d);
-        assert!(
-            statics.subsumption.dropped_count() >= 1,
-            "fixture must reduce at least one association"
-        );
-        let full = MatchAutomaton::with_tracking(&d, &statics, Tracking::Full);
-        let reduced = MatchAutomaton::with_tracking(&d, &statics, Tracking::Reduced);
-        // A complete activation, and a truncated log that exercises a
-        // *dropped* pair without its subsumer — reconstruction must not
-        // trust the static relation.
-        let complete = vec![
-            def_at("M", "t", 3, 0),
-            use_at("M", "t", 4, 0),
-            def_at("M", "u", 4, 0),
-            use_at("M", "t", 5, 0),
-            use_at("M", "u", 5, 0),
-        ];
-        let truncated = vec![def_at("M", "t", 3, 0), use_at("M", "t", 4, 0)];
-        for events in [&complete, &truncated] {
-            let compact: Vec<CompactEvent> = events
-                .iter()
-                .map(|e| CompactEvent::from_event(e, full.interner()))
-                .collect();
-            for mode in [MatchMode::Strict, MatchMode::Lenient] {
-                let (rf, bf) = full.analyse_with_coverage(&compact, mode);
-                let (rr, br) = reduced.analyse_with_coverage(&compact, mode);
-                assert_eq!(rf.exercised, rr.exercised);
-                assert_eq!(rf.defs_executed, rr.defs_executed);
-                assert_eq!(rf.warnings, rr.warnings);
-                assert_eq!(rf.quarantined, rr.quarantined);
-                assert_eq!(bf, br, "coverage bits must be byte-identical");
-            }
-        }
-        // The truncated log's only pair is a dropped one; its bit is set.
-        let compact: Vec<CompactEvent> = truncated
-            .iter()
-            .map(|e| CompactEvent::from_event(e, full.interner()))
-            .collect();
-        let (_, bits) = reduced.analyse_with_coverage(&compact, MatchMode::Strict);
-        let i = statics
-            .associations
-            .iter()
-            .position(|c| c.assoc == Association::new("t", 3, "M", 4, "M"))
-            .unwrap();
-        assert!(statics.subsumption.dropped.contains(i));
-        assert!(
-            bits.contains(i),
-            "dropped bit reconstructed from seen-pairs"
-        );
     }
 
     /// `design()` plus a model `X` that is declared, with a body, but not
@@ -1084,16 +806,13 @@ mod tests {
 
     /// The automaton `SessionArtifacts::assemble` builds from `build`.
     fn assembled(design: &Design, build: &StaticBuild, statics: &StaticAnalysis) -> String {
-        let automaton = MatchAutomaton::from_static_build(design, statics, Tracking::Full, build);
+        let automaton = MatchAutomaton::from_static_build(design, statics, build);
         format!("{automaton:?}")
     }
 
-    /// A cold `with_tracking` automaton over a fresh copy of the design.
+    /// A from-scratch automaton over a fresh copy of the design.
     fn cold(fresh: Design, statics: &StaticAnalysis) -> String {
-        format!(
-            "{:?}",
-            MatchAutomaton::with_tracking(&fresh, statics, Tracking::Full)
-        )
+        format!("{:?}", MatchAutomaton::new(&fresh, statics))
     }
 
     #[test]
@@ -1106,12 +825,7 @@ mod tests {
         assert_eq!(got, cold(design_with_unbound_model(), &outcome.analysis));
         // X's body names reached its vocabulary before the freeze.
         let only_x = d.interner().get("only_x").expect("interned");
-        let automaton = MatchAutomaton::from_static_build(
-            &d,
-            &outcome.analysis,
-            Tracking::Full,
-            &outcome.build,
-        );
+        let automaton = MatchAutomaton::from_static_build(&d, &outcome.analysis, &outcome.build);
         assert!((only_x.0 as usize) < automaton.frozen);
         let x = automaton.row_of(d.interner().get("X").unwrap()).unwrap();
         assert!(automaton.row_vocab[x].contains(only_x.0 as usize));
@@ -1126,12 +840,7 @@ mod tests {
         let got = assembled(&d, &outcome.build, &outcome.analysis);
         assert_eq!(got, cold(design(), &outcome.analysis));
         // M's local `t` is in its row's vocabulary: its CFG was built here.
-        let automaton = MatchAutomaton::from_static_build(
-            &d,
-            &outcome.analysis,
-            Tracking::Full,
-            &outcome.build,
-        );
+        let automaton = MatchAutomaton::from_static_build(&d, &outcome.analysis, &outcome.build);
         let m = automaton.row_of(d.interner().get("M").unwrap()).unwrap();
         let t = d.interner().get("t").unwrap();
         assert!(automaton.row_vocab[m].contains(t.0 as usize));

@@ -1,11 +1,11 @@
-//! Deterministic fan-out over `std::thread::scope` for the per-model and
-//! per-testcase stages of the pipeline. No work-stealing, no extra
+//! Deterministic fan-out over `std::thread::scope` for the per-model
+//! stages of the static analysis. No work-stealing, no extra
 //! dependencies: the items are split into contiguous chunks, one scoped
 //! worker per chunk, and every result lands in the slot of its input index
 //! — so the merged output order is identical to the sequential one
 //! regardless of thread count or scheduling.
 
-/// Worker count for the parallel pipeline stages: the `DFT_THREADS`
+/// Worker count for the parallel static-analysis stages: the `DFT_THREADS`
 /// environment variable when set to a positive integer, otherwise the
 /// machine's available parallelism. `DFT_THREADS=1` forces the sequential
 /// path (useful for timing baselines and for byte-stability checks).

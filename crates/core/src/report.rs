@@ -239,7 +239,7 @@ pub fn render_verdicts(runs: &[TestcaseResult]) -> String {
 /// been evaluated against the same `statics` (indices align).
 ///
 /// The *raw* numbers here equal Table I/II exactly; the *frontier* view
-/// counts only the associations the matcher tracks on its hot path.
+/// counts only the unsubsumed associations.
 pub fn render_subsumption(statics: &StaticAnalysis, cov: &Coverage) -> String {
     let sub = &statics.subsumption;
     let n = statics.associations.len();

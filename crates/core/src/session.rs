@@ -2,133 +2,56 @@
 //! dynamic analysis per testcase, then coverage evaluation — with the
 //! uncovered-association work list driving the "tests addition" loop.
 //!
-//! Since PR 6 the dynamic stage defaults to **streaming**: a
-//! [`MatchCursor`] rides the simulation through a
-//! [`MatchingSink`](tdf_sim::MatchingSink), so events are matched as the
-//! kernel produces them and no per-testcase log is ever materialized —
-//! peak memory is O(automaton state), which is what unlocks
-//! long-/infinite-horizon runs. The buffered pipeline (record a pooled
-//! `Vec<CompactEvent>`, then match, fanning the matching out across
-//! `DFT_THREADS` workers) stays available behind
-//! [`MatchStrategy::Buffered`] / `DFT_STREAM=0` and is gated byte-identical
-//! to the streamed one in `tests/match_equiv.rs`.
+//! The dynamic stage has one run path: a [`MatchCursor`] rides the
+//! simulation through a [`MatchingSink`](tdf_sim::MatchingSink), so events
+//! are matched as the kernel produces them and no per-testcase log is ever
+//! materialized — peak memory is O(automaton state), which is what unlocks
+//! long-/infinite-horizon runs. Every run is panic-isolated; a single
+//! [`DftSession::run_testcase`] re-raises what a batch records as a
+//! degraded [`RunOutcome`].
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dft_monitor::{AssertionSpec, AssertionVerdict, MonitorBank, MonitorSink};
 use obs::MetricsReport;
-use tdf_sim::{
-    Cluster, CompactConsumer, CompactEvent, CompactRecordingSink, Event, EventSink, Interner,
-    MatchingSink, RunLimits, SimTime, Simulator, TdfError,
-};
+use tdf_sim::{Cluster, Interner, MatchingSink, RunLimits, SimTime, Simulator, TdfError};
 
 use crate::coverage::{Coverage, RunOutcome, TestcaseResult};
 use crate::design::Design;
 use crate::dynamic::MatchMode;
 use crate::error::{panic_payload_str, DftError, Result};
-use crate::matcher::{subsume_enabled, MatchAutomaton, MatchCursor, Tracking};
-use crate::statics::{
-    analyse_build, incremental_enabled, ModelArtifactCache, StaticAnalysis, StaticBuild,
-};
+use crate::matcher::{MatchAutomaton, MatchCursor};
+use crate::statics::{analyse_build, ModelArtifactCache, StaticAnalysis, StaticBuild};
 
-/// How a session turns simulation events into exercised associations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatchStrategy {
-    /// Match events as the simulation emits them (one pass, no
-    /// materialized log). The default.
-    Streamed,
-    /// Record the full compact event log into a pooled buffer, then match
-    /// it (the pre-PR-6 pipeline; batch matching fans out across
-    /// `DFT_THREADS` workers).
-    Buffered,
-}
-
-impl MatchStrategy {
-    /// The strategy selected by the `DFT_STREAM` environment variable:
-    /// `0` / `false` / `off` opt back into the buffered pipeline,
-    /// anything else (including unset) streams.
-    pub fn from_env() -> MatchStrategy {
-        match std::env::var("DFT_STREAM") {
-            Ok(v)
-                if v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off") =>
-            {
-                MatchStrategy::Buffered
-            }
-            _ => MatchStrategy::Streamed,
-        }
-    }
-}
-
-/// All pipeline knobs of one session, resolved **once** at construction.
+/// A session's pipeline knob, resolved **once** at construction.
 ///
-/// The environment variables (`DFT_THREADS`, `DFT_STREAM`, `DFT_SUBSUME`)
-/// are read exactly once, by [`SessionConfig::from_env`]; nothing on a
-/// session's hot path touches the environment afterwards. That makes
-/// per-request runs immune to concurrent `set_var` races and lets a
-/// multi-tenant embedder (e.g. `dft-serve`) give every request its own
-/// knob set over the same shared artifacts.
+/// The `DFT_THREADS` environment variable is read exactly once, by
+/// [`SessionConfig::from_env`]; nothing on a session's hot path touches
+/// the environment afterwards. That makes per-request runs immune to
+/// concurrent `set_var` races and lets a multi-tenant embedder (e.g.
+/// `dft-serve`) give every request its own worker count over the same
+/// shared artifacts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionConfig {
-    /// Worker count for the static-analysis and buffered log-matching
-    /// fan-outs (the `DFT_THREADS` knob; reports are byte-identical for
-    /// every value).
+    /// Worker count for the static-analysis fan-out (the `DFT_THREADS`
+    /// knob; reports are byte-identical for every value).
     pub threads: usize,
-    /// How testcase events are matched (the `DFT_STREAM` knob).
-    pub strategy: MatchStrategy,
-    /// Which association rows the match automaton tracks on its hot path
-    /// (the `DFT_SUBSUME` knob). An **artifact-build-time** knob: it is
-    /// consumed when the [`SessionArtifacts`] are built and ignored by
-    /// [`DftSession::from_artifacts`], which inherits the automaton it is
-    /// given. Raw reports are byte-identical either way.
-    pub tracking: Tracking,
-    /// Whether the static stage may memoize per-model artifacts (the
-    /// `DFT_INCR` knob): unchanged models resolve from the process-wide
-    /// model-artifact cache — and, on
-    /// [`SessionArtifacts::build_incremental`], from the previous build —
-    /// instead of recomputing. Another artifact-build-time knob; reports
-    /// are byte-identical either way, `false` is the exact cold path.
-    pub incremental: bool,
 }
 
 impl SessionConfig {
-    /// Resolves every knob from the environment — the configuration
+    /// Resolves the knob from the environment — the configuration
     /// [`DftSession::new`] uses.
     pub fn from_env() -> SessionConfig {
         SessionConfig {
             threads: crate::thread_count(),
-            strategy: MatchStrategy::from_env(),
-            tracking: if subsume_enabled() {
-                Tracking::Reduced
-            } else {
-                Tracking::Full
-            },
-            incremental: incremental_enabled(),
         }
     }
 
     /// Overrides the worker count (builder style).
     pub fn with_threads(mut self, threads: usize) -> SessionConfig {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Overrides the match strategy (builder style).
-    pub fn with_strategy(mut self, strategy: MatchStrategy) -> SessionConfig {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Overrides the tracking policy (builder style).
-    pub fn with_tracking(mut self, tracking: Tracking) -> SessionConfig {
-        self.tracking = tracking;
-        self
-    }
-
-    /// Overrides the incremental-memoization policy (builder style).
-    pub fn with_incremental(mut self, incremental: bool) -> SessionConfig {
-        self.incremental = incremental;
         self
     }
 }
@@ -153,7 +76,6 @@ pub struct SessionArtifacts {
     design: Design,
     statics: StaticAnalysis,
     automaton: MatchAutomaton,
-    tracking: Tracking,
     /// Per-model decomposition of the static stage, retained so a later
     /// [`SessionArtifacts::build_incremental`] can splice every unchanged
     /// model instead of recomputing it.
@@ -169,7 +91,9 @@ impl SessionArtifacts {
     }
 
     /// Runs the static stage on `config.threads` workers and freezes the
-    /// artifacts with `config.tracking`.
+    /// artifacts. Every model resolves from the process-wide model-artifact
+    /// cache when an identical model was analysed before, and is computed
+    /// otherwise.
     pub fn build_with(design: Design, config: &SessionConfig) -> Arc<SessionArtifacts> {
         Self::assemble(design, None, config)
     }
@@ -188,10 +112,10 @@ impl SessionArtifacts {
     ///   `processing()` CFG that model's artifact holds, and builds a CFG
     ///   only for a model without a healthy artifact.
     ///
-    /// The result is byte-identical to a cold
-    /// [`SessionArtifacts::build_with`] of the same design; only the work
-    /// spent differs. With `config.incremental == false` the static stage
-    /// *is* the cold one.
+    /// The result is byte-identical to a from-scratch
+    /// [`analyse_with_threads`](crate::analyse_with_threads) plus
+    /// [`MatchAutomaton::new`] of the same design; only the work spent
+    /// differs.
     pub fn build_incremental(
         design: Design,
         prev: &SessionArtifacts,
@@ -205,24 +129,18 @@ impl SessionArtifacts {
         prev: Option<&SessionArtifacts>,
         config: &SessionConfig,
     ) -> Arc<SessionArtifacts> {
-        let cache = config.incremental.then(ModelArtifactCache::global);
-        let prev_build = if config.incremental {
-            prev.map(|p| &p.static_build)
-        } else {
-            None
-        };
-        let outcome = analyse_build(&design, config.threads, cache, prev_build);
-        let automaton = MatchAutomaton::from_static_build(
+        let outcome = analyse_build(
             &design,
-            &outcome.analysis,
-            config.tracking,
-            &outcome.build,
+            config.threads,
+            Some(ModelArtifactCache::global()),
+            prev.map(|p| &p.static_build),
         );
+        let automaton =
+            MatchAutomaton::from_static_build(&design, &outcome.analysis, &outcome.build);
         Arc::new(SessionArtifacts {
             design,
             statics: outcome.analysis,
             automaton,
-            tracking: config.tracking,
             static_build: outcome.build,
             models_rebuilt: outcome.models_rebuilt,
         })
@@ -236,11 +154,6 @@ impl SessionArtifacts {
     /// The static-stage result (associations + lints).
     pub fn static_analysis(&self) -> &StaticAnalysis {
         &self.statics
-    }
-
-    /// The [`Tracking`] policy the automaton was built with.
-    pub fn tracking(&self) -> Tracking {
-        self.tracking
     }
 
     /// How many user models the static stage actually recomputed when
@@ -264,9 +177,12 @@ impl SessionArtifacts {
     ///
     /// [`build_incremental`]: SessionArtifacts::build_incremental
     pub fn reanalyse(&self, design: &Design, config: &SessionConfig) -> (StaticAnalysis, usize) {
-        let cache = config.incremental.then(ModelArtifactCache::global);
-        let prev_build = config.incremental.then_some(&self.static_build);
-        let outcome = analyse_build(design, config.threads, cache, prev_build);
+        let outcome = analyse_build(
+            design,
+            config.threads,
+            Some(ModelArtifactCache::global()),
+            Some(&self.static_build),
+        );
         (outcome.analysis, outcome.models_rebuilt)
     }
 }
@@ -401,16 +317,6 @@ impl RetryReport {
     }
 }
 
-/// Most pooled event buffers a session retains between testcases; surplus
-/// buffers returned by large batches are dropped instead of pinned for the
-/// session lifetime.
-const MAX_POOLED_BUFFERS: usize = 8;
-
-/// Largest per-buffer capacity (in events) the pool keeps. A pathological
-/// testcase that ballooned a log past this is freed rather than recycled,
-/// so one outlier cannot pin megabytes until the session drops.
-const MAX_POOLED_EVENTS: usize = 1 << 18;
-
 /// One testcase prepared for [`DftSession::run_testcases`]: a freshly built
 /// cluster plus its name and simulated duration.
 #[derive(Debug)]
@@ -462,13 +368,6 @@ pub struct DftSession {
     /// Per-session knobs, resolved once at construction.
     config: SessionConfig,
     runs: Vec<TestcaseResult>,
-    /// Recycled event buffers for the buffered strategy: testcase
-    /// simulations record into a pooled `Vec<CompactEvent>`
-    /// (clear-and-reuse), so candidate evaluation loops stop reallocating
-    /// megabyte-sized logs per testcase. Bounded by
-    /// [`MAX_POOLED_BUFFERS`] / [`MAX_POOLED_EVENTS`]; the streamed
-    /// strategy never touches it.
-    pool: Vec<Vec<CompactEvent>>,
     /// Assertions monitored alongside matching. Empty (the default) keeps
     /// the sample tap off and every run/report byte-identical to a
     /// session without monitor support.
@@ -485,10 +384,9 @@ impl DftSession {
         Self::with_config(design, SessionConfig::from_env())
     }
 
-    /// Creates a session with explicit knobs: the static stage runs on
-    /// `config.threads` workers and the automaton tracks
-    /// `config.tracking`. Reports are byte-identical for every
-    /// configuration.
+    /// Creates a session with an explicit configuration: the static stage
+    /// runs on `config.threads` workers. Reports are byte-identical for
+    /// every worker count.
     pub fn with_config(design: Design, config: SessionConfig) -> Result<DftSession> {
         Ok(Self::from_artifacts(
             SessionArtifacts::build_with(design, &config),
@@ -498,19 +396,13 @@ impl DftSession {
 
     /// Creates a session over **already-frozen** artifacts — the warm
     /// path: elaboration and static analysis are skipped entirely, only
-    /// per-session state (runs, pool) is allocated. This is what an
-    /// artifact cache hit costs.
-    ///
-    /// `config.tracking` is ignored in favour of the tracking the shared
-    /// automaton was actually built with (raw reports are byte-identical
-    /// either way).
+    /// per-session state (runs) is allocated. This is what an artifact
+    /// cache hit costs.
     pub fn from_artifacts(artifacts: Arc<SessionArtifacts>, config: SessionConfig) -> DftSession {
-        let config = config.with_tracking(artifacts.tracking());
         DftSession {
             artifacts,
             config,
             runs: Vec::new(),
-            pool: Vec::new(),
             assertions: Vec::new(),
         }
     }
@@ -519,10 +411,9 @@ impl DftSession {
     /// style): every subsequent testcase evaluates them over its sample
     /// streams in the same simulation pass and carries the per-assertion
     /// verdicts in [`TestcaseResult::verdicts`], in spec order. Verdicts
-    /// are byte-identical across `DFT_THREADS` and [`MatchStrategy`]
-    /// (simulation is sequential either way); with no assertions the
-    /// sample tap stays off and reports are byte-identical to a session
-    /// without monitor support.
+    /// are byte-identical across `DFT_THREADS` (simulation is sequential);
+    /// with no assertions the sample tap stays off and reports are
+    /// byte-identical to a session without monitor support.
     pub fn with_assertions(mut self, assertions: Vec<AssertionSpec>) -> DftSession {
         self.assertions = assertions;
         self
@@ -577,37 +468,9 @@ impl DftSession {
         &self.artifacts.automaton
     }
 
-    /// The active [`MatchStrategy`].
-    pub fn match_strategy(&self) -> MatchStrategy {
-        self.config.strategy
-    }
-
-    /// Overrides the [`MatchStrategy`] for subsequent testcases (builder
-    /// style mutator; both strategies produce byte-identical reports).
-    pub fn set_match_strategy(&mut self, strategy: MatchStrategy) {
-        self.config.strategy = strategy;
-    }
-
-    /// Number of recycled event buffers currently pooled. The streamed
-    /// strategy materializes no logs, so it leaves this at zero; exposed
-    /// so tests can assert both that invariant and the pool bound.
-    pub fn pool_len(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Returns a drained event buffer to the pool, enforcing the count
-    /// and per-buffer-capacity bounds.
-    fn recycle(&mut self, mut buffer: Vec<CompactEvent>) {
-        buffer.clear();
-        if self.pool.len() < MAX_POOLED_BUFFERS && buffer.capacity() <= MAX_POOLED_EVENTS {
-            self.pool.push(buffer);
-        }
-    }
-
-    /// Runs one testcase: elaborates `cluster`, simulates it for
-    /// `duration` with instrumentation enabled, and matches its def/use
-    /// events into exercised associations — in one pass under the
-    /// streamed strategy, or log-then-match under the buffered one.
+    /// Runs one testcase: elaborates `cluster` and simulates it for
+    /// `duration` with instrumentation enabled, matching its def/use
+    /// events into exercised associations as the simulation emits them.
     ///
     /// Events are matched in [`MatchMode::Lenient`], the same mode as the
     /// batch runners, so a batch of one reports identically to a single
@@ -619,7 +482,8 @@ impl DftSession {
     ///
     /// # Errors
     ///
-    /// Propagates elaboration/simulation errors.
+    /// Propagates elaboration/simulation errors; a module panic unwinds out
+    /// of this call. Either way no run is appended.
     pub fn run_testcase(
         &mut self,
         name: &str,
@@ -627,70 +491,36 @@ impl DftSession {
         duration: SimTime,
     ) -> Result<&TestcaseResult> {
         let monitor = self.monitor_bank();
-        let (result, bits) = match self.config.strategy {
-            MatchStrategy::Streamed => {
-                let mut cursor = self.automaton().cursor(MatchMode::Lenient);
-                stream_testcase(
-                    name,
-                    cluster,
-                    duration,
-                    self.design().interner(),
-                    &mut cursor,
-                    monitor.as_ref(),
-                )?;
-                let _span = obs::span("stage.match");
-                cursor.finish()
-            }
-            MatchStrategy::Buffered => {
-                let buffer = self.pool.pop().unwrap_or_default();
-                let events = match simulate_testcase(
-                    name,
-                    cluster,
-                    duration,
-                    self.design().interner(),
-                    buffer,
-                    monitor.as_ref(),
-                ) {
-                    Ok(events) => events,
-                    Err((error, buffer)) => {
-                        // The pooled buffer must survive the failure —
-                        // dropping it here leaked warm allocations from
-                        // the pool one failing testcase at a time.
-                        self.recycle(buffer);
-                        return Err(error);
-                    }
-                };
-                let out = self
-                    .automaton()
-                    .analyse_with_coverage(&events, MatchMode::Lenient);
-                self.recycle(events);
-                out
-            }
-        };
-        self.runs.push(TestcaseResult {
-            name: name.to_owned(),
-            exercised: result.exercised,
-            defs_executed: result.defs_executed,
-            warnings: result.warnings,
-            outcome: RunOutcome::Ok,
-            exercised_idx: Some(bits),
-            verdicts: finalize_bank(monitor, duration, false),
-        });
+        let mut cursor = self.automaton().cursor(MatchMode::Lenient);
+        let run = run_isolated(
+            name,
+            cluster,
+            duration,
+            &RunLimits::none(),
+            self.design().interner(),
+            &mut cursor,
+            monitor.as_ref(),
+        );
+        match run {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => return Err(e),
+            Err(payload) => resume_unwind(payload),
+        }
+        let run = finish_run(name.to_owned(), cursor, monitor, duration, RunOutcome::Ok);
+        self.runs.push(run);
         Ok(self.runs.last().expect("just pushed"))
     }
 
-    /// Runs a batch of testcases: simulation stays sequential (module state
-    /// is not shared across threads), but the per-testcase event-log
-    /// matching — the log-analysis half of stage 2 — fans out across
-    /// [`crate::thread_count`] scoped workers. Results are appended in
-    /// batch order, so reports are byte-identical to running
+    /// Runs a batch of testcases in order. Results are appended in batch
+    /// order, so reports are byte-identical to running
     /// [`DftSession::run_testcase`] once per entry.
     ///
     /// Unlike [`DftSession::run_testcase`], a failing testcase does **not**
     /// abort the batch: elaboration errors, simulation errors, tripped
     /// [`RunLimits`] budgets and even module panics are isolated to their
     /// testcase and recorded as a degraded [`RunOutcome`], and whatever the
-    /// testcase logged before failing still contributes (partial) coverage.
+    /// testcase streamed before failing still contributes (partial)
+    /// coverage.
     ///
     /// # Errors
     ///
@@ -702,133 +532,37 @@ impl DftSession {
 
     /// [`DftSession::run_testcases`] with per-testcase [`RunLimits`]
     /// budgets. Each testcase is simulated under `limits`; a tripped budget
-    /// degrades only that testcase ([`RunOutcome::TimedOut`]) while its
-    /// partial event log is still matched. Event logs of degraded testcases
-    /// are matched in [`MatchMode::Lenient`] — as are healthy ones, which
-    /// is indistinguishable from strict matching on a well-formed log.
+    /// degrades only that testcase ([`RunOutcome::TimedOut`]) while the
+    /// events it streamed before stopping are still matched. Events of
+    /// degraded testcases are matched in [`MatchMode::Lenient`] — as are
+    /// healthy ones, which is indistinguishable from strict matching on a
+    /// well-formed stream.
     pub fn run_testcases_with(
         &mut self,
         testcases: Vec<TestcaseSpec>,
         limits: RunLimits,
     ) -> &[TestcaseResult] {
-        self.run_testcases_with_threads(testcases, limits, self.config.threads)
-    }
-
-    /// [`DftSession::run_testcases_with`] with an explicit worker count
-    /// for the log-matching fan-out, instead of the process-wide
-    /// [`crate::thread_count`]. Results are byte-identical for every
-    /// `threads` value (index-slot merge); an explicit count lets callers
-    /// — the coverage-guided generator's determinism gates in particular
-    /// — compare thread counts in-process without mutating `DFT_THREADS`.
-    pub fn run_testcases_with_threads(
-        &mut self,
-        testcases: Vec<TestcaseSpec>,
-        limits: RunLimits,
-        threads: usize,
-    ) -> &[TestcaseResult] {
         static DEGRADED: obs::Counter = obs::Counter::new("testcase.degraded");
-        let entries: Vec<TestcaseResult> = match self.config.strategy {
-            MatchStrategy::Streamed => {
-                // Matching already happened inside the simulation pass, so
-                // there is no log-analysis fan-out left to thread; the
-                // `threads` knob only affects the buffered strategy (and
-                // reports are byte-identical either way).
-                let _ = threads;
-                let mut entries = Vec::with_capacity(testcases.len());
-                for tc in testcases {
-                    let monitor = self.monitor_bank();
-                    let cell = Arc::new(Mutex::new(Some(
-                        self.automaton().cursor(MatchMode::Lenient),
-                    )));
-                    let outcome = stream_testcase_isolated(
-                        &tc.name,
-                        tc.cluster,
-                        tc.duration,
-                        limits,
-                        self.design().interner(),
-                        &cell,
-                        monitor.clone(),
-                    );
-                    if outcome.is_degraded() {
-                        DEGRADED.add(1);
-                    }
-                    let cursor = cell
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .take()
-                        .expect("cursor is only harvested once");
-                    let (r, bits) = {
-                        let _span = obs::span("stage.match");
-                        cursor.finish()
-                    };
-                    let verdicts = finalize_bank(monitor, tc.duration, outcome.is_degraded());
-                    entries.push(TestcaseResult {
-                        name: tc.name,
-                        exercised: r.exercised,
-                        defs_executed: r.defs_executed,
-                        warnings: r.warnings,
-                        outcome,
-                        exercised_idx: Some(bits),
-                        verdicts,
-                    });
-                }
-                entries
-            }
-            MatchStrategy::Buffered => {
-                let mut names = Vec::with_capacity(testcases.len());
-                let mut outcomes = Vec::with_capacity(testcases.len());
-                let mut events = Vec::with_capacity(testcases.len());
-                let mut verdicts = Vec::with_capacity(testcases.len());
-                for tc in testcases {
-                    let monitor = self.monitor_bank();
-                    let buffer = self.pool.pop().unwrap_or_default();
-                    let (log, outcome) = simulate_testcase_isolated(
-                        &tc.name,
-                        tc.cluster,
-                        tc.duration,
-                        limits,
-                        self.design().interner(),
-                        buffer,
-                        monitor.clone(),
-                    );
-                    if outcome.is_degraded() {
-                        DEGRADED.add(1);
-                    }
-                    // Verdicts come straight off the simulation pass —
-                    // they never depend on the deferred log matching, so
-                    // finalize here, per testcase, exactly as the
-                    // streamed branch does.
-                    verdicts.push(finalize_bank(monitor, tc.duration, outcome.is_degraded()));
-                    names.push(tc.name);
-                    outcomes.push(outcome);
-                    events.push(log);
-                }
-                let automaton = self.automaton();
-                let results = crate::par::par_map(&events, threads, |log| {
-                    automaton.analyse_with_coverage(log, MatchMode::Lenient)
-                });
-                for buffer in events {
-                    self.recycle(buffer);
-                }
-                names
-                    .into_iter()
-                    .zip(outcomes)
-                    .zip(results)
-                    .zip(verdicts)
-                    .map(|(((name, outcome), (r, bits)), verdicts)| TestcaseResult {
-                        name,
-                        exercised: r.exercised,
-                        defs_executed: r.defs_executed,
-                        warnings: r.warnings,
-                        outcome,
-                        exercised_idx: Some(bits),
-                        verdicts,
-                    })
-                    .collect()
-            }
-        };
         let start = self.runs.len();
-        self.runs.extend(entries);
+        for tc in testcases {
+            let monitor = self.monitor_bank();
+            let mut cursor = self.automaton().cursor(MatchMode::Lenient);
+            let run = run_isolated(
+                &tc.name,
+                tc.cluster,
+                tc.duration,
+                &limits,
+                self.design().interner(),
+                &mut cursor,
+                monitor.as_ref(),
+            );
+            let outcome = outcome_of(run);
+            if outcome.is_degraded() {
+                DEGRADED.add(1);
+            }
+            let run = finish_run(tc.name, cursor, monitor, tc.duration, outcome);
+            self.runs.push(run);
+        }
         &self.runs[start..]
     }
 
@@ -944,7 +678,7 @@ impl DftSession {
     /// Splits off and returns every run from index `start` on, leaving
     /// the session with its first `start` runs. This is the candidate
     /// protocol of coverage-guided generation: evaluate a batch
-    /// ([`DftSession::run_testcases_with_threads`]), take the appended
+    /// ([`DftSession::run_testcases_with`]), take the appended
     /// results for fitness scoring, and [`DftSession::push_run`] back
     /// only the accepted ones — the statics never re-run.
     ///
@@ -976,13 +710,6 @@ impl DftSession {
     }
 }
 
-/// Clears a returned event buffer so the pool hands out empty, warm
-/// allocations.
-fn recycled(mut buffer: Vec<CompactEvent>) -> Vec<CompactEvent> {
-    buffer.clear();
-    buffer
-}
-
 /// Resolves a testcase's monitor bank into verdicts: `end` is the
 /// requested run duration, `degraded` whether the simulation actually
 /// reached it (a truncated trace keeps observed violations but never
@@ -999,163 +726,82 @@ fn finalize_bank(bank: Option<SharedBank>, end: SimTime, degraded: bool) -> Vec<
     }
 }
 
-/// Elaborates and simulates one testcase with instrumentation enabled,
-/// recording its event count and wall time under `testcase.<name>.*`. The
-/// cluster is re-keyed onto the design-wide `interner` so the recorded
-/// compact events use the session's symbol ids; `buffer` is a pooled
-/// allocation to record into — and it rides along in the error variant so
-/// the caller can recycle it instead of leaking it from the pool.
-#[allow(clippy::result_large_err)]
-fn simulate_testcase(
+/// The session's one run path: elaborates `cluster` onto the design-wide
+/// `interner` and simulates it for `duration` under `limits`, streaming
+/// every event into `cursor` (and every sample into `monitor`, when
+/// assertions are attached), then records the `testcase.<name>.*`
+/// metrics. Errors come back as `Ok(Err(_))`, a module panic as `Err`.
+///
+/// Unwind-safety (the reason `AssertUnwindSafe` is sound here): the
+/// closure owns the cluster and the simulator built from it, so a panic
+/// can only tear state that dies with the closure. Two borrows cross the
+/// unwind boundary. The cursor is borrowed, not locked: after a panic
+/// mid-feed it holds exactly what poison recovery handed back when it sat
+/// behind a mutex — every earlier event matched, and the final event at
+/// worst partly applied, which can only *under*-report that event's
+/// coverage. The monitor bank is fed one sample at a time under its
+/// mutex, and a panicked run is finalized as degraded anyway.
+fn run_isolated(
     name: &str,
     mut cluster: Cluster,
     duration: SimTime,
-    interner: &Arc<Interner>,
-    buffer: Vec<CompactEvent>,
-    monitor: Option<&SharedBank>,
-) -> std::result::Result<Vec<CompactEvent>, (DftError, Vec<CompactEvent>)> {
-    let started = obs::metrics_enabled().then(Instant::now);
-    cluster.set_interner(Arc::clone(interner));
-    let mut sink = CompactRecordingSink::with_buffer(Arc::clone(interner), buffer);
-    let mut sim = match Simulator::new(cluster) {
-        Ok(sim) => sim,
-        Err(e) => return Err((e.into(), sink.events)),
-    };
-    let run = {
-        let _span = obs::span("stage.simulate");
-        match monitor {
-            Some(bank) => {
-                let mut monitored = MonitorSink::new(&mut sink, Arc::clone(bank));
-                sim.run(duration, &mut monitored)
-            }
-            None => sim.run(duration, &mut sink),
-        }
-    };
-    if let Some(t0) = started {
-        obs::counter_add(&format!("testcase.{name}.events"), sink.events.len() as u64);
-        obs::observe_duration(&format!("testcase.{name}.wall"), t0.elapsed());
-    }
-    match run {
-        Ok(_) => Ok(sink.events),
-        Err(e) => Err((e.into(), sink.events)),
-    }
-}
-
-/// Streamed counterpart of [`simulate_testcase`]: elaborates and
-/// simulates one testcase with a [`MatchingSink`] feeding `cursor`
-/// event-by-event, so matching finishes the moment the simulation does
-/// and no log is materialized.
-fn stream_testcase(
-    name: &str,
-    mut cluster: Cluster,
-    duration: SimTime,
+    limits: &RunLimits,
     interner: &Arc<Interner>,
     cursor: &mut MatchCursor<'_>,
     monitor: Option<&SharedBank>,
-) -> Result<()> {
+) -> std::thread::Result<Result<()>> {
     let started = obs::metrics_enabled().then(Instant::now);
     cluster.set_interner(Arc::clone(interner));
-    let mut sim = Simulator::new(cluster)?;
-    {
-        let mut sink = MatchingSink::new(cursor, Arc::clone(interner));
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        let mut sim = Simulator::new(cluster)?;
+        let mut sink = MatchingSink::new(&mut *cursor, Arc::clone(interner));
         let _span = obs::span("stage.simulate");
         match monitor {
             Some(bank) => {
                 let mut monitored = MonitorSink::new(&mut sink, Arc::clone(bank));
-                sim.run(duration, &mut monitored)?;
+                sim.run_with_limits(duration, &mut monitored, limits)?;
             }
             None => {
-                sim.run(duration, &mut sink)?;
+                sim.run_with_limits(duration, &mut sink, limits)?;
             }
         }
-    }
+        Ok(())
+    }));
     if let Some(t0) = started {
         obs::counter_add(&format!("testcase.{name}.events"), cursor.events_fed());
         obs::observe_duration(&format!("testcase.{name}.wall"), t0.elapsed());
     }
-    Ok(())
+    run
 }
 
-/// A [`CompactConsumer`] feeding a shared, mutex-guarded cursor — the
-/// streaming analog of [`SharedSink`], so the partially-fed cursor
-/// survives a panicking module.
-struct CursorCell<'a> {
-    cell: Arc<Mutex<Option<MatchCursor<'a>>>>,
-}
-
-impl CompactConsumer for CursorCell<'_> {
-    fn consume(&mut self, event: &CompactEvent) {
-        // Poison recovery mirrors `SharedSink`: `feed` applies one event
-        // at a time and any partially-applied final event only ever
-        // *under*-reports coverage for that event, matching the truncated
-        // log the buffered isolated path would have recovered.
-        if let Some(cursor) = self.cell.lock().unwrap_or_else(|p| p.into_inner()).as_mut() {
-            cursor.feed(event);
-        }
-    }
-}
-
-/// Streamed counterpart of [`simulate_testcase_isolated`]: simulates one
-/// testcase under `limits` with full failure isolation while feeding the
-/// shared cursor in `cell`. Errors, tripped budgets and module panics
-/// degrade the [`RunOutcome`]; whatever was streamed before the failure
-/// already sits in the cursor as (partial) coverage.
-///
-/// Unwind-safety: as in [`simulate_testcase_isolated`], the closure owns
-/// everything it mutates except the `Arc<Mutex<Option<MatchCursor>>>`,
-/// which is fed one event at a time under the lock — an unwind can at
-/// worst lose the tail of the stream (a well-formed prefix was matched),
-/// never corrupt the cursor's tables.
-fn stream_testcase_isolated<'a>(
-    name: &str,
-    mut cluster: Cluster,
-    duration: SimTime,
-    limits: RunLimits,
-    interner: &Arc<Interner>,
-    cell: &Arc<Mutex<Option<MatchCursor<'a>>>>,
+/// Finishes a run's cursor and monitor bank into its [`TestcaseResult`];
+/// `duration` is the requested run length.
+fn finish_run(
+    name: String,
+    cursor: MatchCursor<'_>,
     monitor: Option<SharedBank>,
-) -> RunOutcome {
-    let started = obs::metrics_enabled().then(Instant::now);
-    cluster.set_interner(Arc::clone(interner));
-    let mut consumer = CursorCell {
-        cell: Arc::clone(cell),
+    duration: SimTime,
+    outcome: RunOutcome,
+) -> TestcaseResult {
+    let (result, bits) = {
+        let _span = obs::span("stage.match");
+        cursor.finish()
     };
-    let sink_interner = Arc::clone(interner);
-    let run = catch_unwind(AssertUnwindSafe(move || {
-        let mut sim = Simulator::new(cluster)?;
-        let mut sink = MatchingSink::new(&mut consumer, sink_interner);
-        let _span = obs::span("stage.simulate");
-        // The bank crosses the unwind boundary the same way the cursor
-        // does: fed one sample at a time under its mutex, so a panic can
-        // at worst lose the tail of the stream — and a panicked run is
-        // finalized as degraded anyway.
-        match monitor {
-            Some(bank) => {
-                let mut monitored = MonitorSink::new(&mut sink, bank);
-                sim.run_with_limits(duration, &mut monitored, &limits)?;
-            }
-            None => {
-                sim.run_with_limits(duration, &mut sink, &limits)?;
-            }
-        }
-        Ok::<(), DftError>(())
-    }));
-    let outcome = outcome_of(run);
-    if let Some(t0) = started {
-        let fed = cell
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .as_ref()
-            .map_or(0, MatchCursor::events_fed);
-        obs::counter_add(&format!("testcase.{name}.events"), fed);
-        obs::observe_duration(&format!("testcase.{name}.wall"), t0.elapsed());
+    let verdicts = finalize_bank(monitor, duration, outcome.is_degraded());
+    TestcaseResult {
+        name,
+        exercised: result.exercised,
+        defs_executed: result.defs_executed,
+        warnings: result.warnings,
+        outcome,
+        exercised_idx: Some(bits),
+        verdicts,
     }
-    outcome
 }
 
 /// Maps an isolated run's `catch_unwind` result onto the degraded
-/// [`RunOutcome`] taxonomy shared by both pipeline strategies.
-fn outcome_of(run: std::thread::Result<std::result::Result<(), DftError>>) -> RunOutcome {
+/// [`RunOutcome`] taxonomy.
+fn outcome_of(run: std::thread::Result<Result<()>>) -> RunOutcome {
     match run {
         Ok(Ok(())) => RunOutcome::Ok,
         Ok(Err(DftError::Sim(
@@ -1174,101 +820,12 @@ fn outcome_of(run: std::thread::Result<std::result::Result<(), DftError>>) -> Ru
     }
 }
 
-/// An [`EventSink`] appending into a shared, mutex-guarded buffer that
-/// outlives the simulation — so the event log survives a panicking module.
-/// Compact events are pushed as-is; legacy string events (from fault sinks
-/// and hand-instrumented modules) are interned on the way in.
-struct SharedSink {
-    buf: Arc<Mutex<Vec<CompactEvent>>>,
-    interner: Arc<Interner>,
-}
-
-impl EventSink for SharedSink {
-    fn record(&mut self, event: Event) {
-        let event = CompactEvent::from_event(&event, &self.interner);
-        // A poisoned lock only means some other holder panicked mid-append;
-        // the Vec itself is never left in a torn state (push is the only
-        // mutation), so recover the guard and keep recording.
-        self.buf
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(event);
-    }
-
-    fn record_compact(&mut self, event: CompactEvent, interner: &Interner) {
-        debug_assert!(
-            std::ptr::eq(&*self.interner, interner),
-            "compact events recorded against a foreign interner"
-        );
-        self.buf
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(event);
-    }
-}
-
-/// Elaborates and simulates one testcase under `limits` with full failure
-/// isolation: errors, tripped budgets and module panics degrade the
-/// [`RunOutcome`] instead of propagating, and whatever was logged before
-/// the failure is recovered.
-///
-/// Unwind-safety invariant (the reason `AssertUnwindSafe` is sound here):
-/// the closure *owns* everything it mutates — the cluster, the simulator
-/// built from it, and its `SharedSink` — so a panic can only tear state
-/// that dies with the closure. The sole data crossing the unwind boundary
-/// is the `Arc<Mutex<Vec<Event>>>` event buffer, which is append-only and
-/// mutated one `push` at a time under the lock; an unwind can therefore at
-/// worst *truncate* the log (a shorter but well-formed prefix), never
-/// corrupt an entry. No bare `&mut` borrow is captured across the boundary.
-fn simulate_testcase_isolated(
-    name: &str,
-    mut cluster: Cluster,
-    duration: SimTime,
-    limits: RunLimits,
-    interner: &Arc<Interner>,
-    buffer: Vec<CompactEvent>,
-    monitor: Option<SharedBank>,
-) -> (Vec<CompactEvent>, RunOutcome) {
-    let started = obs::metrics_enabled().then(Instant::now);
-    cluster.set_interner(Arc::clone(interner));
-    let events: Arc<Mutex<Vec<CompactEvent>>> = Arc::new(Mutex::new(recycled(buffer)));
-    let shared = SharedSink {
-        buf: Arc::clone(&events),
-        interner: Arc::clone(interner),
-    };
-    let run = catch_unwind(AssertUnwindSafe(move || {
-        let mut sim = Simulator::new(cluster)?;
-        let mut sink = shared;
-        let _span = obs::span("stage.simulate");
-        match monitor {
-            Some(bank) => {
-                let mut monitored = MonitorSink::new(&mut sink, bank);
-                sim.run_with_limits(duration, &mut monitored, &limits)?;
-            }
-            None => {
-                sim.run_with_limits(duration, &mut sink, &limits)?;
-            }
-        }
-        Ok::<(), DftError>(())
-    }));
-    let outcome = outcome_of(run);
-    let log = {
-        let mut guard = events.lock().unwrap_or_else(|p| p.into_inner());
-        std::mem::take(&mut *guard)
-    };
-    if let Some(t0) = started {
-        obs::counter_add(&format!("testcase.{name}.events"), log.len() as u64);
-        obs::observe_duration(&format!("testcase.{name}.wall"), t0.elapsed());
-    }
-    (log, outcome)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::assoc::Association;
     use tdf_interp::{Interface, InterpModule, TdfModelDef};
-    use tdf_sim::{FaultPlan, FaultyEvents, FnSource, Value};
+    use tdf_sim::{FaultPlan, FaultyEvents, FnSource, PanicAfter, TdfModule, Value};
 
     const SRC: &str = "\
 void A::processing()
@@ -1297,31 +854,12 @@ void B::processing()
         ]
     }
 
-    fn build_cluster(level: f64) -> (Cluster, Design) {
-        let tu = minic::parse(SRC).unwrap();
-        let mut cluster = Cluster::new("top");
-        let src = cluster
-            .add_module(Box::new(FnSource::new(
-                "src",
-                SimTime::from_us(1),
-                move |_| Value::Double(level),
-            )))
-            .unwrap();
-        let mut ids = Vec::new();
-        for d in defs() {
-            let m = InterpModule::new(&tu, &d.model, d.interface.clone()).unwrap();
-            ids.push(cluster.add_module(Box::new(m)).unwrap());
-        }
-        cluster.connect(src, "op_out", ids[0], "ip_in").unwrap();
-        cluster.connect(ids[0], "op_y", ids[1], "ip_x").unwrap();
-        let design = Design::new(minic::parse(SRC).unwrap(), defs(), cluster.netlist()).unwrap();
-        (cluster, design)
-    }
-
-    /// Like `build_cluster`, but module A's event stream passes through a
-    /// deterministic fault tap that garbles events — the malformed-log
-    /// scenario where match-mode choices become visible.
-    fn build_faulty_cluster(level: f64, plan: FaultPlan) -> (Cluster, Design) {
+    /// The `src -> A -> B` cluster on a constant `level` source, each user
+    /// module passed through `wrap` (with its index) before it is added.
+    fn build_wrapped_cluster(
+        level: f64,
+        wrap: impl Fn(usize, Box<dyn TdfModule>) -> Box<dyn TdfModule>,
+    ) -> (Cluster, Design) {
         let tu = minic::parse(SRC).unwrap();
         let mut cluster = Cluster::new("top");
         let src = cluster
@@ -1334,17 +872,50 @@ void B::processing()
         let mut ids = Vec::new();
         for (i, d) in defs().into_iter().enumerate() {
             let m = InterpModule::new(&tu, &d.model, d.interface.clone()).unwrap();
-            let boxed: Box<dyn tdf_sim::TdfModule> = if i == 0 {
-                Box::new(FaultyEvents::new(Box::new(m), plan.clone()))
-            } else {
-                Box::new(m)
-            };
-            ids.push(cluster.add_module(boxed).unwrap());
+            ids.push(cluster.add_module(wrap(i, Box::new(m))).unwrap());
         }
         cluster.connect(src, "op_out", ids[0], "ip_in").unwrap();
         cluster.connect(ids[0], "op_y", ids[1], "ip_x").unwrap();
         let design = Design::new(minic::parse(SRC).unwrap(), defs(), cluster.netlist()).unwrap();
         (cluster, design)
+    }
+
+    fn build_cluster(level: f64) -> (Cluster, Design) {
+        build_wrapped_cluster(level, |_, m| m)
+    }
+
+    /// Like `build_cluster`, but module A's event stream passes through a
+    /// deterministic fault tap that garbles events — the malformed-log
+    /// scenario where match-mode choices become visible.
+    fn build_faulty_cluster(level: f64, plan: FaultPlan) -> (Cluster, Design) {
+        build_wrapped_cluster(level, |i, m| {
+            if i == 0 {
+                Box::new(FaultyEvents::new(m, plan.clone()))
+            } else {
+                m
+            }
+        })
+    }
+
+    /// Like `build_cluster`, but module B panics on its second activation,
+    /// after A's first activations have streamed their events.
+    fn build_panicking_cluster(level: f64) -> (Cluster, Design) {
+        build_wrapped_cluster(level, |i, m| {
+            if i == 1 {
+                Box::new(PanicAfter::new(m, 1))
+            } else {
+                m
+            }
+        })
+    }
+
+    /// A cluster without a timestep: elaboration fails before any event.
+    fn unelaboratable_cluster() -> Cluster {
+        let tu = minic::parse(SRC).unwrap();
+        let mut broken = Cluster::new("broken");
+        let b = InterpModule::new(&tu, "B", Interface::new().input("ip_x").output("op_z")).unwrap();
+        broken.add_module(Box::new(b)).unwrap();
+        broken
     }
 
     #[test]
@@ -1459,30 +1030,23 @@ void B::processing()
             AssertionSpec::new("cap", AssertionExpr::never_above("A.op_y", 50.0)),
             AssertionSpec::new("floor", AssertionExpr::never_below("A.op_y", -1.0)),
         ];
-        let mut per_strategy = Vec::new();
-        for strategy in [MatchStrategy::Streamed, MatchStrategy::Buffered] {
-            let (cluster, design) = build_cluster(0.1);
-            let mut session = DftSession::new(design)
-                .unwrap()
-                .with_assertions(specs.clone());
-            session.set_match_strategy(strategy);
-            session
-                .run_testcase("TC1", cluster, SimTime::from_us(3))
-                .unwrap();
-            // Coverage and verdicts both came out of the same run.
-            assert!(!session.runs()[0].exercised.is_empty());
-            per_strategy.push(session.runs()[0].verdicts.clone());
-        }
-        assert_eq!(per_strategy[0], per_strategy[1], "strategies agree");
-        assert_eq!(per_strategy[0][0].name, "cap");
+        let (cluster, design) = build_cluster(0.1);
+        let mut session = DftSession::new(design).unwrap().with_assertions(specs);
+        session
+            .run_testcase("TC1", cluster, SimTime::from_us(3))
+            .unwrap();
+        // Coverage and verdicts both came out of the same run.
+        let run = &session.runs()[0];
+        assert!(!run.exercised.is_empty());
+        assert_eq!(run.verdicts[0].name, "cap");
         assert_eq!(
-            per_strategy[0][0].verdict,
+            run.verdicts[0].verdict,
             Verdict::Fails {
                 first_violation_time: SimTime::ZERO
             },
             "op_y jumps to 100 at the very first activation"
         );
-        assert_eq!(per_strategy[0][1].verdict, Verdict::Holds);
+        assert_eq!(run.verdicts[1].verdict, Verdict::Holds);
     }
 
     #[test]
@@ -1536,14 +1100,19 @@ void B::processing()
         for threads in [1usize, 4] {
             let (c1, design) = build_cluster(0.01);
             let (c2, _) = build_cluster(0.1);
-            let mut session = DftSession::new(design).unwrap();
-            session.run_testcases_with_threads(
+            let config = SessionConfig::from_env().with_threads(threads);
+            let mut session = DftSession::with_config(design, config).unwrap();
+            assert_eq!(
+                session.static_analysis(),
+                &crate::statics::analyse_with_threads(session.design(), threads),
+                "session statics differ from a from-scratch analysis"
+            );
+            session.run_testcases_with(
                 vec![
                     TestcaseSpec::new("TC1", c1, SimTime::from_us(3)),
                     TestcaseSpec::new("TC2", c2, SimTime::from_us(3)),
                 ],
                 RunLimits::none(),
-                threads,
             );
             reports.push(crate::render_table1(&session.coverage()));
         }
@@ -1556,13 +1125,11 @@ void B::processing()
         obs::set_metrics_enabled(true);
 
         let (cluster, design) = build_cluster(0.1);
-        // Force a cold static build: with memoization on, another test's
-        // build of the same design could leave the model artifacts (and
-        // their warmed reachability caches) resident, and the
-        // reach-cache-miss assertion below would race test order.
-        let config = SessionConfig::from_env().with_incremental(false);
-        let artifacts = SessionArtifacts::build_with(design, &config);
-        let mut session = DftSession::from_artifacts(artifacts, config);
+        // The session's static stage may splice every model from the
+        // process-wide cache another test filled, leaving no reachability
+        // closure to build; `analyse` never memoizes, so it builds them.
+        let _ = crate::statics::analyse(&design);
+        let mut session = DftSession::new(design).unwrap();
         session
             .run_testcase("TC_metrics_probe", cluster, SimTime::from_us(3))
             .unwrap();
@@ -1604,28 +1171,60 @@ void B::processing()
     fn failing_testcases_do_not_leak_pooled_buffers() {
         let (warm, design) = build_cluster(0.1);
         let mut session = DftSession::new(design).unwrap();
-        session.set_match_strategy(MatchStrategy::Buffered);
-        // Seed the pool with one warm buffer.
         session
             .run_testcase("warm", warm, SimTime::from_us(3))
             .unwrap();
-        assert_eq!(session.pool_len(), 1);
-        // Elaboration of a timestep-less cluster fails before any event
-        // is recorded; the popped buffer must return to the pool anyway.
+        // Elaboration of a timestep-less cluster fails before any event.
         for i in 0..4 {
-            let tu = minic::parse(SRC).unwrap();
-            let mut broken = Cluster::new("broken");
-            let b =
-                InterpModule::new(&tu, "B", Interface::new().input("ip_x").output("op_z")).unwrap();
-            broken.add_module(Box::new(b)).unwrap();
-            let run = session.run_testcase(&format!("bad{i}"), broken, SimTime::from_us(1));
-            assert!(run.is_err(), "empty cluster must not elaborate");
-            assert_eq!(
-                session.pool_len(),
-                1,
-                "error path must recycle the pooled buffer"
+            let run = session.run_testcase(
+                &format!("bad{i}"),
+                unelaboratable_cluster(),
+                SimTime::from_us(1),
             );
+            assert!(run.is_err(), "empty cluster must not elaborate");
         }
+    }
+
+    #[test]
+    fn run_testcase_errors_and_panics_append_no_run() {
+        let (_, design) = build_cluster(0.1);
+        let mut session = DftSession::new(design).unwrap();
+
+        let run = session.run_testcase("bad", unelaboratable_cluster(), SimTime::from_us(1));
+        assert!(run.is_err(), "elaboration failure is an error");
+        assert!(session.runs().is_empty(), "a failed run is not appended");
+
+        let (panicking, _) = build_panicking_cluster(0.1);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            let _ = session.run_testcase("boom", panicking, SimTime::from_us(3));
+        }));
+        assert!(
+            caught.is_err(),
+            "a module panic unwinds out of run_testcase"
+        );
+        assert!(session.runs().is_empty(), "a panicked run is not appended");
+
+        // The same cluster in a batch degrades instead, keeping what A
+        // streamed before B panicked.
+        let (panicking, _) = build_panicking_cluster(0.1);
+        session
+            .run_testcases(vec![TestcaseSpec::new(
+                "boom",
+                panicking,
+                SimTime::from_us(3),
+            )])
+            .unwrap();
+        let run = &session.runs()[0];
+        assert!(
+            matches!(run.outcome, RunOutcome::Panicked { .. }),
+            "{:?}",
+            run.outcome
+        );
+        assert!(
+            run.exercised
+                .contains(&Association::new("t", 3, "A", 5, "A")),
+            "partial coverage survives the panic"
+        );
     }
 
     #[test]
@@ -1634,92 +1233,28 @@ void B::processing()
         // before the mode unification, a single run (Strict) reported
         // differently from a batch of one (Lenient) on exactly this input.
         let plan = FaultPlan::new().with_seed(11).with_corrupt_events(0.5);
-        for strategy in [MatchStrategy::Streamed, MatchStrategy::Buffered] {
-            let (c_single, design) = build_faulty_cluster(0.1, plan.clone());
-            let mut single = DftSession::new(design).unwrap();
-            single.set_match_strategy(strategy);
-            single
-                .run_testcase("TC", c_single, SimTime::from_us(5))
-                .unwrap();
+        let (c_single, design) = build_faulty_cluster(0.1, plan.clone());
+        let mut single = DftSession::new(design).unwrap();
+        single
+            .run_testcase("TC", c_single, SimTime::from_us(5))
+            .unwrap();
 
-            let (c_batch, design) = build_faulty_cluster(0.1, plan.clone());
-            let mut batch = DftSession::new(design).unwrap();
-            batch.set_match_strategy(strategy);
-            batch
-                .run_testcases(vec![TestcaseSpec::new("TC", c_batch, SimTime::from_us(5))])
-                .unwrap();
+        let (c_batch, design) = build_faulty_cluster(0.1, plan);
+        let mut batch = DftSession::new(design).unwrap();
+        batch
+            .run_testcases(vec![TestcaseSpec::new("TC", c_batch, SimTime::from_us(5))])
+            .unwrap();
 
-            let s = &single.runs()[0];
-            let b = &batch.runs()[0];
-            assert_eq!(s.exercised, b.exercised, "{strategy:?}");
-            assert_eq!(s.defs_executed, b.defs_executed, "{strategy:?}");
-            assert_eq!(s.warnings, b.warnings, "{strategy:?}");
-            assert_eq!(
-                crate::render_table1(&single.coverage()),
-                crate::render_table1(&batch.coverage()),
-                "{strategy:?}: batch-of-one must report like a single run"
-            );
-        }
-    }
-
-    #[test]
-    fn pool_is_bounded_after_large_batches() {
-        let (_c, design) = build_cluster(0.1);
-        let mut session = DftSession::new(design).unwrap();
-        session.set_match_strategy(MatchStrategy::Buffered);
-        let specs: Vec<TestcaseSpec> = (0..MAX_POOLED_BUFFERS + 4)
-            .map(|i| {
-                let (c, _) = build_cluster(0.1);
-                TestcaseSpec::new(format!("TC{i}"), c, SimTime::from_us(3))
-            })
-            .collect();
-        session.run_testcases(specs).unwrap();
-        assert!(
-            session.pool_len() <= MAX_POOLED_BUFFERS,
-            "pool grew to {} (cap {MAX_POOLED_BUFFERS})",
-            session.pool_len()
+        let s = &single.runs()[0];
+        let b = &batch.runs()[0];
+        assert_eq!(s.exercised, b.exercised);
+        assert_eq!(s.defs_executed, b.defs_executed);
+        assert_eq!(s.warnings, b.warnings);
+        assert_eq!(
+            crate::render_table1(&single.coverage()),
+            crate::render_table1(&batch.coverage()),
+            "batch-of-one must report like a single run"
         );
-    }
-
-    #[test]
-    fn recycle_enforces_count_and_capacity_bounds() {
-        let (_c, design) = build_cluster(0.1);
-        let mut session = DftSession::new(design).unwrap();
-        // An over-capacity buffer is freed, not pooled.
-        session.recycle(Vec::with_capacity(MAX_POOLED_EVENTS + 1));
-        assert_eq!(session.pool_len(), 0);
-        // Surplus buffers beyond the count cap are dropped.
-        for _ in 0..MAX_POOLED_BUFFERS + 5 {
-            session.recycle(Vec::with_capacity(16));
-        }
-        assert_eq!(session.pool_len(), MAX_POOLED_BUFFERS);
-    }
-
-    #[test]
-    fn streamed_and_buffered_strategies_agree() {
-        let mut reports = Vec::new();
-        for strategy in [MatchStrategy::Streamed, MatchStrategy::Buffered] {
-            let (c1, design) = build_cluster(0.01);
-            let (c2, _) = build_cluster(0.1);
-            let mut session = DftSession::new(design).unwrap();
-            session.set_match_strategy(strategy);
-            assert_eq!(session.match_strategy(), strategy);
-            session
-                .run_testcase("TC1", c1, SimTime::from_us(3))
-                .unwrap();
-            session
-                .run_testcases(vec![TestcaseSpec::new("TC2", c2, SimTime::from_us(3))])
-                .unwrap();
-            if strategy == MatchStrategy::Streamed {
-                assert_eq!(
-                    session.pool_len(),
-                    0,
-                    "streamed runs must not materialize pooled logs"
-                );
-            }
-            reports.push(crate::render_table1(&session.coverage()));
-        }
-        assert_eq!(reports[0], reports[1], "strategies must be byte-identical");
     }
 
     #[test]

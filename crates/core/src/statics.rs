@@ -79,15 +79,16 @@ pub enum StaticLint {
 ///
 /// Indices are positions in [`StaticAnalysis::associations`]. An
 /// association is *dropped* when exercising some other (frontier)
-/// association statically guarantees it was exercised too — the matcher
-/// can skip its hot-path row and reconstruct the bit afterwards (see
+/// association statically guarantees it was exercised too (see
 /// [`dataflow::analyse_subsumption`] for the relation and its soundness
-/// boundary). Only intra-model pairs whose tuple maps one-to-one onto a
-/// du-pair participate; everything else conservatively stays tracked.
+/// boundary). This is a report and a test-generation weight: coverage
+/// itself always observes every association. Only intra-model pairs whose
+/// tuple maps one-to-one onto a du-pair participate; everything else
+/// conservatively stays tracked.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubsumptionInfo {
-    /// Bit `i` set iff association `i` leaves hot-path tracking (it is
-    /// implied by a frontier association). Capacity equals the
+    /// Bit `i` set iff association `i` is implied by a frontier
+    /// association. Capacity equals the
     /// association count — a default (empty) value drops nothing.
     pub dropped: BitSet,
     /// `(frontier index, implied dropped indices)` for every frontier
@@ -106,12 +107,12 @@ impl Default for SubsumptionInfo {
 }
 
 impl SubsumptionInfo {
-    /// Number of associations reduced away from hot-path tracking.
+    /// Number of associations implied by the frontier.
     pub fn dropped_count(&self) -> usize {
         self.dropped.len()
     }
 
-    /// Whether association `i` is tracked on the hot path (frontier).
+    /// Whether association `i` is on the unsubsumed frontier.
     pub fn is_tracked(&self, i: usize) -> bool {
         !self.dropped.contains(i)
     }
@@ -186,18 +187,6 @@ impl ModelFlow {
             init,
         }
     }
-}
-
-/// Whether per-model artifact memoization is enabled: the `DFT_INCR`
-/// environment variable; `0` / `false` / `off` opt out to the exact
-/// non-memoized analysis path (no cache consultation, no splicing from a
-/// previous build). Reports are byte-identical either way — the knob only
-/// trades recomputation for memory.
-pub fn incremental_enabled() -> bool {
-    !matches!(
-        std::env::var("DFT_INCR"),
-        Ok(v) if v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off")
-    )
 }
 
 /// FNV-1a accumulator — the same zero-dependency hash the interner and
@@ -365,10 +354,11 @@ const MODEL_CACHE_CAPACITY: usize = 1024;
 
 /// A bounded, thread-safe, LRU cache of [`ModelArtifact`]s keyed by
 /// [`model_fingerprint`] — same zero-dependency style as `dft-serve`'s
-/// whole-design `ArtifactCache`, one level below it: `analyse_with_threads`
-/// consults the process-wide instance so re-analysing a design in which a
-/// model is unchanged pays a hash lookup instead of a CFG + reaching-defs
-/// + classification rebuild for that model.
+/// whole-design `ArtifactCache`, one level below it: every
+/// `SessionArtifacts` build consults the process-wide instance so
+/// re-analysing a design in which a model is unchanged pays a hash lookup
+/// instead of a CFG + reaching-defs + classification rebuild for that
+/// model.
 ///
 /// Entries carry a recency stamp, so lookups and refreshes are O(1); only
 /// an insert of a new key into a full cache scans, to evict the stalest.
@@ -405,7 +395,8 @@ impl ModelArtifactCache {
         }
     }
 
-    /// The process-wide instance consulted by [`analyse_with_threads`].
+    /// The process-wide instance every
+    /// [`SessionArtifacts`](crate::SessionArtifacts) build consults.
     pub(crate) fn global() -> &'static ModelArtifactCache {
         static GLOBAL: OnceLock<ModelArtifactCache> = OnceLock::new();
         GLOBAL.get_or_init(|| ModelArtifactCache::new(MODEL_CACHE_CAPACITY))
@@ -532,13 +523,14 @@ pub fn analyse(design: &Design) -> StaticAnalysis {
 ///
 /// The result is byte-identical for every `threads` value: workers only
 /// compute per-model artefacts, and the merge walks models in
-/// `design.user_models()` order, exactly like the sequential loop. Unless
-/// `DFT_INCR=0`, unchanged models resolve from the process-wide
-/// [`ModelArtifactCache`] instead of recomputing — with byte-identical
-/// output either way.
+/// `design.user_models()` order, exactly like the sequential loop.
+///
+/// Every model is analysed from scratch: this is the reference the
+/// memoizing [`SessionArtifacts`](crate::SessionArtifacts) builds are
+/// checked against, so it never consults the process-wide
+/// [`ModelArtifactCache`].
 pub fn analyse_with_threads(design: &Design, threads: usize) -> StaticAnalysis {
-    let cache = incremental_enabled().then(ModelArtifactCache::global);
-    analyse_build(design, threads, cache, None).analysis
+    analyse_build(design, threads, None, None).analysis
 }
 
 /// Computes one model's full artifact (the per-model worker body).
@@ -648,7 +640,7 @@ pub(crate) fn analyse_build(
     let models = design.user_models();
     MODELS_ANALYSED.add(models.len() as u64);
     // Keys only matter when there is something to look them up in or a
-    // build to splice from; the pure-cold path (DFT_INCR=0) skips the
+    // build to splice from; the from-scratch path (`analyse`) skips the
     // fingerprint pass entirely. A build stored with zero keys can never
     // match a real fingerprint later, so splicing from it is a safe no-op.
     let keyed = cache.is_some() || prev.is_some();

@@ -57,32 +57,6 @@ pub fn path_facts(cfg: &Cfg, rd: &ReachingDefs, pair: &DuPair) -> PathFacts {
     }
 }
 
-/// Reference implementation of [`path_facts`] that re-runs a BFS per query
-/// instead of consulting the cached transitive closure. Kept for the
-/// cached-vs-uncached benchmarks and the property tests asserting the two
-/// agree; production callers should use [`path_facts`].
-pub fn path_facts_uncached(cfg: &Cfg, rd: &ReachingDefs, pair: &DuPair) -> PathFacts {
-    let def_site = rd.def(pair.def);
-    let from_def = cfg.reachable_from(def_site.node, 1);
-    let mut has_non_du = false;
-    for other in rd.defs_of(&pair.var) {
-        if other.id == pair.def {
-            continue;
-        }
-        if !from_def.contains(other.node) {
-            continue;
-        }
-        if cfg.reachable_from(other.node, 1).contains(pair.use_node) {
-            has_non_du = true;
-            break;
-        }
-    }
-    PathFacts {
-        has_du_path: true,
-        has_non_du_path: has_non_du,
-    }
-}
-
 /// One explicit static path between a definition and a use.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StaticPath {
@@ -196,6 +170,21 @@ mod tests {
         let cfg = Cfg::from_function(&tu.functions[0]);
         let rd = ReachingDefs::compute(&cfg);
         (cfg, rd)
+    }
+
+    /// The reference for [`path_facts`]: the same question answered with a
+    /// fresh BFS per query instead of the cached transitive closure.
+    fn path_facts_uncached(cfg: &Cfg, rd: &ReachingDefs, pair: &DuPair) -> PathFacts {
+        let from_def = cfg.reachable_from(rd.def(pair.def).node, 1);
+        let has_non_du_path = rd.defs_of(&pair.var).iter().any(|other| {
+            other.id != pair.def
+                && from_def.contains(other.node)
+                && cfg.reachable_from(other.node, 1).contains(pair.use_node)
+        });
+        PathFacts {
+            has_du_path: true,
+            has_non_du_path,
+        }
     }
 
     fn pair_of<'a>(rd: &'a ReachingDefs, var: &str, def_idx: usize) -> &'a DuPair {

@@ -51,7 +51,7 @@ pub use bitset::BitSet;
 pub use cfg::{Cfg, Node, NodeId, NodeKind};
 pub use defuse::{stmt_def_use, StmtDefUse, VarAccess};
 pub use dominators::Dominators;
-pub use dupath::{enumerate_du_paths, path_facts, path_facts_uncached, PathFacts, StaticPath};
+pub use dupath::{enumerate_du_paths, path_facts, PathFacts, StaticPath};
 pub use framework::{solve, Direction, Meet, Solution, Transfer};
 pub use liveness::Liveness;
 pub use reaching::{DefId, DefSite, DuPair, ReachingDefs};

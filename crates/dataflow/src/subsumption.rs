@@ -3,9 +3,8 @@
 //!
 //! Pair A **subsumes** pair B when every du-path exercising A also
 //! exercises B: any execution that covers A is guaranteed to have covered
-//! B, so B carries no extra information as a test requirement. The
-//! matcher can then track only the *unsubsumed frontier* on its hot path
-//! and reconstruct the subsumed bits afterwards.
+//! B, so B carries no extra information as a test requirement: the
+//! *unsubsumed frontier* is the set of requirements worth aiming at.
 //!
 //! The check enumerates A's acyclic du-paths ([`enumerate_du_paths`],
 //! which prunes dead subtrees through the [`Cfg::reaches`] closure cache)
@@ -27,10 +26,9 @@
 //! Callers must still treat the relation as a *reduction heuristic*, not
 //! a correctness oracle: fault-injected or truncated event logs can
 //! exercise a subsuming pair while the log's record of the subsumed one
-//! was dropped. Consumers that need exact raw coverage reconstruct it
-//! dynamically (the `dft-core` matcher probes its seen-pair set for every
-//! dropped association at finish time), which is exact on *any* log; the
-//! static relation only chooses which rows leave the hot path.
+//! was dropped. Exact raw coverage therefore comes from observing every
+//! association dynamically (the `dft-core` matcher does), never from
+//! this relation.
 
 use std::collections::HashMap;
 

@@ -4,8 +4,8 @@
 //!
 //! Configuration via `DFT_SERVE_ADDR` (default `127.0.0.1:4870`) and the
 //! other `DFT_SERVE_*` variables (see `ServeConfig::from_env`), plus the
-//! usual pipeline knobs (`DFT_THREADS`, `DFT_STREAM`, `DFT_SUBSUME`,
-//! `DFT_METRICS`).
+//! pipeline's worker count (`DFT_THREADS`) and metrics switch
+//! (`DFT_METRICS`).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;

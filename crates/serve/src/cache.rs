@@ -4,8 +4,8 @@
 //! by far the most expensive part of a request on small batches, and it
 //! depends only on the design source and its elaboration parameters — so
 //! artifacts are keyed by an FNV-1a hash of exactly that material
-//! ([`crate::proto::DesignRef::cache_key_material`]) plus the tracking
-//! mode the automaton is built with, and shared across tenants via `Arc`.
+//! ([`crate::proto::DesignRef::cache_key_material`]), and shared across
+//! tenants via `Arc`.
 //!
 //! The cache is bounded (a segmented LRU): once `capacity` distinct
 //! designs are resident, the **least-recently-used** entry not hit since

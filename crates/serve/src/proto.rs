@@ -14,9 +14,7 @@
 
 use crate::json::Json;
 use ams_models::{buck_boost, sensor, window_lifter};
-use dft_core::{
-    AssertionExpr, AssertionSpec, Design, MatchStrategy, Result as DftResult, SignalPred,
-};
+use dft_core::{AssertionExpr, AssertionSpec, Design, Result as DftResult, SignalPred};
 use stimuli::{Signal, Testcase};
 use tdf_sim::{Cluster, SimTime};
 
@@ -371,6 +369,10 @@ fn parse_signal(v: &Json) -> Result<Signal, ProtoError> {
 }
 
 /// A parsed `analyse` request.
+///
+/// Unknown keys are ignored. That includes `strategy`, which once chose
+/// between streamed and buffered matching: every run now streams, so the
+/// key is accepted and has no effect.
 #[derive(Debug)]
 pub struct AnalyseRequest {
     /// Client-chosen request id, echoed in the response.
@@ -389,10 +391,10 @@ pub struct AnalyseRequest {
     pub max_events: Option<u64>,
     /// Transient-failure retry budget (defaults to the server's).
     pub retries: Option<u32>,
-    /// Log-matching worker override (defaults to the server's).
+    /// Static-analysis worker override (defaults to the server's). It
+    /// only matters on an artifact-cache miss, where it sizes the static
+    /// stage; matching always streams inside the sequential simulation.
     pub threads: Option<usize>,
-    /// Match strategy override.
-    pub strategy: Option<MatchStrategy>,
     /// Whether to render Table I / Table II bodies in the response.
     pub tables: bool,
     /// Saboteur for the probe design (requires the `fault-inject` build).
@@ -600,12 +602,6 @@ impl AnalyseRequest {
                 .map(Some)
                 .ok_or_else(|| bad(format!("\"{k}\" must be a non-negative integer"))),
         };
-        let strategy = match v.get("strategy").and_then(Json::as_str) {
-            None => None,
-            Some("streamed") => Some(MatchStrategy::Streamed),
-            Some("buffered") => Some(MatchStrategy::Buffered),
-            Some(other) => return Err(bad(format!("unknown strategy {other:?}"))),
-        };
         let fault = match v.get("fault") {
             None | Some(Json::Null) => None,
             Some(spec) => {
@@ -639,7 +635,6 @@ impl AnalyseRequest {
             max_events: opt_u64("max_events")?,
             retries: opt_u64("retries")?.map(|n| n.min(16) as u32),
             threads: opt_u64("threads")?.map(|n| n.clamp(1, 64) as usize),
-            strategy,
             tables: v.get("tables").and_then(Json::as_bool).unwrap_or(true),
             fault,
             assertions: parse_assertions(v)?,

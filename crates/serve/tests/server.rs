@@ -2,7 +2,7 @@
 //! correctness (responses match a locally-run pipeline byte for byte),
 //! resilience (malformed input, deadlines, rejection, drain) and the
 //! concurrency-equivalence guarantee (concurrent == sequential, warm and
-//! cold cache, 1 and 4 matching threads).
+//! cold cache, 1 and 4 static-analysis threads).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -133,21 +133,23 @@ fn analyse_matches_a_locally_run_pipeline() {
 /// same way a client would check the server's work.
 mod systemc_ams_dft_server_oracle {
     use ams_models::sensor;
-    use dft_core::{render_table1, DftSession};
+    use dft_core::{analyse, render_table1, DftSession};
 
     pub fn sensor_oracle() -> String {
         sensor_oracle_at(sensor::FIXED_ADC_FULL_SCALE)
     }
 
-    /// Like [`sensor_oracle`] but parameterised by ADC full-scale, with
-    /// incremental artifact reuse forced off — a pure cold build to hold
-    /// the server's incremental path against.
+    /// Like [`sensor_oracle`] but parameterised by ADC full-scale. Its
+    /// statics are checked against a from-scratch `analyse` first, so it
+    /// holds the server's incremental path against a cold build.
     pub fn sensor_oracle_at(full_scale: f64) -> String {
-        use dft_core::{SessionArtifacts, SessionConfig};
         let design = sensor::sensor_design(full_scale).unwrap();
-        let config = SessionConfig::from_env().with_incremental(false);
-        let artifacts = SessionArtifacts::build_with(design, &config);
-        let mut session = DftSession::from_artifacts(artifacts, config);
+        let mut session = DftSession::new(design).unwrap();
+        assert_eq!(
+            session.static_analysis(),
+            &analyse(session.design()),
+            "oracle statics differ from a from-scratch analysis"
+        );
         for tc in sensor::sensor_testcases() {
             let (cluster, _) = sensor::build_sensor_cluster(&tc, full_scale).unwrap();
             session
@@ -173,6 +175,27 @@ fn case_study_requests(threads: usize) -> Vec<String> {
             r#"{{"op":"analyse","id":"bb","tenant":"eq","design":"buck-boost","threads":{threads},"testcases":["buck_0","buck_1","boost_0"]}}"#
         ),
     ]
+}
+
+/// `strategy` once chose streamed or buffered matching. Every run streams
+/// now, so the key is ignored like any other unknown one: the request is
+/// answered, with the same tables as without it.
+#[test]
+fn strategy_field_is_an_ignored_no_op() {
+    let handle = start(test_config()).unwrap();
+    let mut client = Client::connect(&handle);
+    let with = client.roundtrip(
+        r#"{"op":"analyse","id":"s1","design":"window-lifter","testcases":["up_0","idle"],"strategy":"buffered"}"#,
+    );
+    assert_eq!(status(&with), "ok", "{with:?}");
+    let without = client.roundtrip(
+        r#"{"op":"analyse","id":"s2","design":"window-lifter","testcases":["up_0","idle"]}"#,
+    );
+    assert_eq!(status(&without), "ok", "{without:?}");
+    assert_eq!(tables(&with), tables(&without));
+
+    handle.begin_shutdown();
+    handle.wait();
 }
 
 /// Satellite: N concurrent clients get byte-identical Table I/II bodies
@@ -504,21 +527,14 @@ fn one_model_edit_is_served_incrementally() {
     assert_eq!(cold.get("artifact").and_then(Json::as_str), Some("cold"));
 
     // Same family, edited ADC interface: cold at the whole-design tier,
-    // incremental at the per-model tier — unless the suite runs with
-    // DFT_INCR=0, where the fallback tier is off and the edit is simply
-    // cold (the served tables must be byte-identical either way).
-    let incremental_on = dft_core::incremental_enabled();
+    // incremental at the per-model tier.
     let edited = client
         .roundtrip(r#"{"op":"analyse","id":"i2","design":{"name":"sensor","full_scale":511}}"#);
     assert_eq!(status(&edited), "ok", "{edited:?}");
     assert_eq!(edited.get("cache").and_then(Json::as_str), Some("cold"));
     assert_eq!(
         edited.get("artifact").and_then(Json::as_str),
-        Some(if incremental_on {
-            "incremental"
-        } else {
-            "cold"
-        }),
+        Some("incremental"),
         "{edited:?}"
     );
     // A one-model edit rebuilds at most the edited model — possibly zero
@@ -529,14 +545,10 @@ fn one_model_edit_is_served_incrementally() {
         .and_then(|t| t.get("models_rebuilt"))
         .and_then(Json::as_f64)
         .expect("timings.models_rebuilt");
-    if incremental_on {
-        assert!(
-            (0.0..=1.0).contains(&rebuilt),
-            "one-model edit rebuilt {rebuilt} models"
-        );
-    } else {
-        assert!(rebuilt >= 1.0, "cold build rebuilt {rebuilt} models");
-    }
+    assert!(
+        (0.0..=1.0).contains(&rebuilt),
+        "one-model edit rebuilt {rebuilt} models"
+    );
     assert_eq!(
         tables(&edited).0,
         sensor_oracle_at(511.0),

@@ -282,17 +282,6 @@ impl CompactRecordingSink {
             interner,
         }
     }
-
-    /// Creates a sink recording against `interner`, reusing `buffer`
-    /// (cleared) as backing storage — the pooling hook of the session's
-    /// batch runner.
-    pub fn with_buffer(interner: Arc<Interner>, mut buffer: Vec<CompactEvent>) -> Self {
-        buffer.clear();
-        CompactRecordingSink {
-            events: buffer,
-            interner,
-        }
-    }
 }
 
 impl EventSink for CompactRecordingSink {
@@ -317,14 +306,6 @@ impl EventSink for CompactRecordingSink {
 pub trait CompactConsumer {
     /// Feeds one event, in execution order.
     fn consume(&mut self, event: &CompactEvent);
-}
-
-/// Every `Vec<CompactEvent>` is a consumer: appending is the buffered
-/// baseline the streamed path is gated against.
-impl CompactConsumer for Vec<CompactEvent> {
-    fn consume(&mut self, event: &CompactEvent) {
-        self.push(*event);
-    }
 }
 
 /// An [`EventSink`] that forwards every event straight into a

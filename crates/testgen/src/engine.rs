@@ -4,17 +4,16 @@
 //! Each iteration synthesizes a batch of candidate testcases (fresh
 //! random, mutations of accepted suite members, and channel crossovers),
 //! evaluates the whole batch through the budget-bounded
-//! [`DftSession::run_testcases_with_threads`] pipeline, scores every
+//! [`DftSession::run_testcases_with`] pipeline, scores every
 //! candidate by the *class-weighted newly exercised* associations it
 //! contributes, and greedily accepts candidates while they still add
 //! coverage. Accepted cases become the next [`stimuli::Testsuite`]
 //! iteration — exactly the refinement structure of Table II, grown by
 //! search instead of by hand.
 //!
-//! Determinism: all RNG draws and all acceptance decisions happen on the
-//! single-threaded control path; the only parallel stage (batch event-log
-//! matching) merges by input index. A fixed `(seed, config)` therefore
-//! produces byte-identical suites and reports at any thread count.
+//! Determinism: all RNG draws, simulations and acceptance decisions happen
+//! on the single-threaded control path. A fixed `(seed, config)` therefore
+//! produces byte-identical suites and reports at any `DFT_THREADS`.
 
 use std::collections::{HashMap, HashSet};
 
@@ -91,9 +90,6 @@ pub struct GenConfig {
     pub limits: RunLimits,
     /// Fitness weights per association class.
     pub weights: ClassWeights,
-    /// Worker count for batch log matching; 0 means the process-wide
-    /// [`dft_core::thread_count`]. Any value yields identical output.
-    pub threads: usize,
     /// Optional early-exit target: stop once this many distinct static
     /// associations are exercised (e.g. a hand-suite baseline to match).
     pub target_exercised: Option<usize>,
@@ -115,7 +111,6 @@ impl Default for GenConfig {
                 .with_max_activations(2_000_000)
                 .with_wall_budget(std::time::Duration::from_secs(10)),
             weights: ClassWeights::default(),
-            threads: 0,
             target_exercised: None,
             assertion_weight: 16,
         }
@@ -217,7 +212,7 @@ impl Generator {
             .iter()
             .enumerate()
             .map(|(i, c)| {
-                if dft_core::subsume_enabled() && !statics.subsumption.is_tracked(i) {
+                if !statics.subsumption.is_tracked(i) {
                     1
                 } else {
                     cfg.weights.of(c.class)
@@ -396,10 +391,9 @@ impl Generator {
     /// budgets and returns `(testcase, exercised static indices, run)`
     /// per candidate, batch order. Candidates whose cluster fails to
     /// build are dropped (counted, never fatal); the session's run list
-    /// is left exactly as it was. Evaluation rides whatever
-    /// [`dft_core::MatchStrategy`] the session is configured with — by
-    /// default each candidate is matched *while it simulates*, so large
-    /// candidate batches never materialize per-candidate event logs.
+    /// is left exactly as it was. Each candidate is matched *while it
+    /// simulates*, so large candidate batches never materialize
+    /// per-candidate event logs.
     fn evaluate(&mut self, candidates: &[Testcase]) -> Vec<(Testcase, Vec<usize>, TestcaseResult)> {
         let mut specs = Vec::with_capacity(candidates.len());
         let mut built = Vec::with_capacity(candidates.len());
@@ -413,13 +407,7 @@ impl Generator {
             }
         }
         let start = self.session.runs().len();
-        let threads = if self.cfg.threads == 0 {
-            dft_core::thread_count()
-        } else {
-            self.cfg.threads
-        };
-        self.session
-            .run_testcases_with_threads(specs, self.cfg.limits, threads);
+        self.session.run_testcases_with(specs, self.cfg.limits);
         let runs = self.session.take_runs_from(start);
         let n_assocs = self.weight.len();
         built

@@ -1,7 +1,7 @@
 //! Engine-level integration tests on the paper's sensor system (Fig. 2):
 //! the search must rediscover what the hand-written TC1–TC3 suite covers,
-//! stay byte-deterministic across thread counts, and minimize without
-//! losing coverage.
+//! stay byte-deterministic for a fixed seed, and minimize without losing
+//! coverage.
 
 use ams_models::sensor::{self, BUGGY_ADC_FULL_SCALE, HS_CHANNEL, TS_CHANNEL};
 use dft_core::{render_table1, DftSession, Result};
@@ -35,36 +35,29 @@ fn hand_suite_exercised() -> usize {
     session.coverage().exercised_count()
 }
 
-fn cfg(threads: usize, target: Option<usize>) -> GenConfig {
+fn cfg(target: Option<usize>) -> GenConfig {
     GenConfig {
         seed: 0xDF7,
         max_iterations: 12,
         candidates_per_iteration: 16,
         stagnation_limit: 3,
-        threads,
         target_exercised: target,
         ..GenConfig::default()
     }
 }
 
-fn generator(threads: usize, target: Option<usize>) -> Generator {
+fn generator(target: Option<usize>) -> Generator {
     let design = sensor::sensor_design(BUGGY_ADC_FULL_SCALE).unwrap();
-    Generator::new(
-        design,
-        channels(),
-        SimTime::from_ms(2),
-        build,
-        cfg(threads, target),
-    )
-    .unwrap()
-    .named("Sensor System")
+    Generator::new(design, channels(), SimTime::from_ms(2), build, cfg(target))
+        .unwrap()
+        .named("Sensor System")
 }
 
 #[test]
 fn search_matches_the_hand_suite_from_nothing() {
     let baseline = hand_suite_exercised();
     assert!(baseline > 0);
-    let outcome = generator(0, Some(baseline)).run();
+    let outcome = generator(Some(baseline)).run();
     assert!(
         outcome.coverage.exercised_count() >= baseline,
         "generated {} < hand-written {baseline}\n{}",
@@ -78,9 +71,9 @@ fn search_matches_the_hand_suite_from_nothing() {
 
 #[test]
 fn fixed_seed_is_byte_identical_across_thread_counts() {
-    let a = generator(1, None).run();
-    let b = generator(4, None).run();
-    assert_eq!(a.suite, b.suite, "suites diverge across thread counts");
+    let a = generator(None).run();
+    let b = generator(None).run();
+    assert_eq!(a.suite, b.suite, "suites diverge across same-seed runs");
     assert_eq!(a.minimized, b.minimized);
     assert_eq!(a.report.render(), b.report.render());
     assert_eq!(render_table1(&a.coverage), render_table1(&b.coverage));
@@ -88,7 +81,7 @@ fn fixed_seed_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn minimized_subset_preserves_coverage_through_a_fresh_session() {
-    let outcome = generator(0, None).run();
+    let outcome = generator(None).run();
     assert!(!outcome.minimized.is_empty());
     assert!(outcome.minimized.len() <= outcome.suite.all().len());
     assert_eq!(
@@ -116,7 +109,7 @@ fn minimized_subset_preserves_coverage_through_a_fresh_session() {
 #[test]
 fn seeded_search_keeps_and_extends_the_hand_suite() {
     let baseline = hand_suite_exercised();
-    let mut gen = generator(0, None);
+    let mut gen = generator(None);
     gen.seed_suite(&sensor::sensor_suite());
     let outcome = gen.run();
     // Iteration 0 is the seed verbatim.

@@ -6,18 +6,24 @@
 //!   associations than strict mode would (quarantining only removes);
 //! * both modes agree exactly on a healthy stream.
 //!
+//! Each property is checked on the match automaton and on the string-keyed
+//! reference matcher in `tests/support/string_matcher.rs`.
+//!
 //! The quick variants run in the default suite; heavier case counts are
 //! opted in with `--features fault-inject` (the CI fault-injection job).
+
+mod support;
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use systemc_ams_dft::dft::{analyse_events_with_mode, Design, MatchMode};
+use support::string_matcher::analyse_events_with_mode;
+use systemc_ams_dft::dft::{analyse, Design, DynamicResult, MatchAutomaton, MatchMode};
 use systemc_ams_dft::interp::{Interface, InterpModule, TdfModelDef};
 use systemc_ams_dft::sim::{
-    Cluster, Event, FaultInjector, FaultPlan, FnSource, Provenance, RecordingSink, SimTime,
-    Simulator, Value,
+    Cluster, CompactEvent, Event, FaultInjector, FaultPlan, FnSource, Provenance, RecordingSink,
+    SimTime, Simulator, Value,
 };
 
 const SRC: &str = "\
@@ -33,9 +39,16 @@ void consumer::processing()
     op_z = got + 1;
 }";
 
-/// One healthy instrumented simulation, shared across proptest cases.
-fn healthy() -> &'static (Design, Vec<Event>) {
-    static FIXTURE: OnceLock<(Design, Vec<Event>)> = OnceLock::new();
+/// The design of one healthy instrumented simulation, its match automaton
+/// and its event log, shared across proptest cases.
+struct Fixture {
+    design: Design,
+    automaton: MatchAutomaton,
+    events: Vec<Event>,
+}
+
+fn healthy() -> &'static Fixture {
+    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let tu = minic::parse(SRC).unwrap();
         let defs = vec![
@@ -71,8 +84,33 @@ fn healthy() -> &'static (Design, Vec<Event>) {
         let mut sink = RecordingSink::new();
         sim.run(SimTime::from_us(60), &mut sink).unwrap();
         assert!(!sink.events.is_empty(), "fixture produced events");
-        (design, sink.events)
+        let automaton = MatchAutomaton::new(&design, &analyse(&design));
+        Fixture {
+            design,
+            automaton,
+            events: sink.events,
+        }
     })
+}
+
+/// `events` matched in `mode` by the automaton and by the reference
+/// matcher, labelled.
+fn both_matchers(
+    fx: &Fixture,
+    events: &[Event],
+    mode: MatchMode,
+) -> [(&'static str, DynamicResult); 2] {
+    let compact: Vec<CompactEvent> = events
+        .iter()
+        .map(|e| CompactEvent::from_event(e, fx.automaton.interner()))
+        .collect();
+    [
+        ("automaton", fx.automaton.analyse(&compact, mode)),
+        (
+            "reference",
+            analyse_events_with_mode(&fx.design, events, mode),
+        ),
+    ]
 }
 
 fn arb_plan() -> impl Strategy<Value = FaultPlan> {
@@ -139,21 +177,23 @@ fn arb_event() -> impl Strategy<Value = Event> {
         })
 }
 
-fn assert_lenient_subset_of_strict(design: &Design, events: &[Event]) {
-    let strict = analyse_events_with_mode(design, events, MatchMode::Strict);
-    let lenient = analyse_events_with_mode(design, events, MatchMode::Lenient);
-    assert!(
-        lenient.exercised.is_subset(&strict.exercised),
-        "lenient invented associations: {:?}",
-        lenient
-            .exercised
-            .difference(&strict.exercised)
-            .collect::<Vec<_>>()
-    );
-    assert!(
-        lenient.defs_executed.is_subset(&strict.defs_executed),
-        "lenient invented executed defs"
-    );
+fn assert_lenient_subset_of_strict(fx: &Fixture, events: &[Event]) {
+    let strict = both_matchers(fx, events, MatchMode::Strict);
+    let lenient = both_matchers(fx, events, MatchMode::Lenient);
+    for ((matcher, strict), (_, lenient)) in strict.iter().zip(&lenient) {
+        assert!(
+            lenient.exercised.is_subset(&strict.exercised),
+            "{matcher}: lenient invented associations: {:?}",
+            lenient
+                .exercised
+                .difference(&strict.exercised)
+                .collect::<Vec<_>>()
+        );
+        assert!(
+            lenient.defs_executed.is_subset(&strict.defs_executed),
+            "{matcher}: lenient invented executed defs"
+        );
+    }
 }
 
 #[cfg(not(feature = "fault-inject"))]
@@ -168,30 +208,31 @@ proptest! {
     /// panics nor exercises more than strict mode on the same stream.
     #[test]
     fn lenient_subset_on_injected_faults(plan in arb_plan()) {
-        let (design, events) = healthy();
-        let corrupted = FaultInjector::new(plan).corrupt_log(events);
-        assert_lenient_subset_of_strict(design, &corrupted);
+        let fx = healthy();
+        let corrupted = FaultInjector::new(plan).corrupt_log(&fx.events);
+        assert_lenient_subset_of_strict(fx, &corrupted);
     }
 
     /// Same property on fully arbitrary event soup (no simulation at all).
     #[test]
     fn lenient_subset_on_arbitrary_garbage(events in prop::collection::vec(arb_event(), 0..60)) {
-        let (design, _) = healthy();
-        assert_lenient_subset_of_strict(design, &events);
+        assert_lenient_subset_of_strict(healthy(), &events);
     }
 
     /// A fault-free plan is the identity on the log, and both matching
     /// modes agree exactly on it.
     #[test]
     fn no_faults_means_identical_modes(seed in any::<u64>()) {
-        let (design, events) = healthy();
+        let fx = healthy();
         let plan = FaultPlan::new().with_seed(seed);
-        let untouched = FaultInjector::new(plan).corrupt_log(events);
-        prop_assert_eq!(&untouched, events);
-        let strict = analyse_events_with_mode(design, &untouched, MatchMode::Strict);
-        let lenient = analyse_events_with_mode(design, &untouched, MatchMode::Lenient);
-        prop_assert_eq!(strict.exercised, lenient.exercised);
-        prop_assert_eq!(strict.warnings, lenient.warnings);
-        prop_assert_eq!(lenient.quarantined, 0);
+        let untouched = FaultInjector::new(plan).corrupt_log(&fx.events);
+        prop_assert_eq!(&untouched, &fx.events);
+        let strict = both_matchers(fx, &untouched, MatchMode::Strict);
+        let lenient = both_matchers(fx, &untouched, MatchMode::Lenient);
+        for ((matcher, strict), (_, lenient)) in strict.iter().zip(&lenient) {
+            prop_assert_eq!(&strict.exercised, &lenient.exercised, "{}", matcher);
+            prop_assert_eq!(&strict.warnings, &lenient.warnings, "{}", matcher);
+            prop_assert_eq!(lenient.quarantined, 0, "{}", matcher);
+        }
     }
 }

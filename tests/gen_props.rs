@@ -3,8 +3,8 @@
 //!
 //! * a whole generation run never panics, whatever the seed or chain
 //!   shape, under the budget-bounded pipeline;
-//! * a fixed seed is byte-identical at 1 and 4 matcher threads (suite,
-//!   rendered report and rendered Table I all compare equal);
+//! * a fixed seed is byte-identical across runs (suite, rendered report
+//!   and rendered Table I all compare equal);
 //! * the coverage trajectory is monotone — iterations only add coverage.
 
 use std::time::Duration;
@@ -17,7 +17,7 @@ use systemc_ams_dft::signals::Testcase;
 use systemc_ams_dft::sim::{Cluster, RunLimits, SimTime};
 
 /// Runs one small generation over a fresh `length`-model chain.
-fn generate(length: usize, with_gains: bool, seed: u64, threads: usize) -> GenOutcome {
+fn generate(length: usize, with_gains: bool, seed: u64) -> GenOutcome {
     let spec = synthetic_chain(length, with_gains);
     let design = spec.build_design().unwrap();
     let build = move |tc: &Testcase| -> DftResult<Cluster> {
@@ -36,7 +36,6 @@ fn generate(length: usize, with_gains: bool, seed: u64, threads: usize) -> GenOu
         limits: RunLimits::none()
             .with_max_activations(100_000)
             .with_wall_budget(Duration::from_secs(5)),
-        threads,
         target_exercised: None,
         ..GenConfig::default()
     };
@@ -62,29 +61,29 @@ proptest! {
         length in 2usize..5,
         with_gains in any::<bool>(),
     ) {
-        let out = generate(length, with_gains, seed, 0);
+        let out = generate(length, with_gains, seed);
         prop_assert!(!out.suite.all().is_empty() || out.report.rows.iter().all(|r| r.accepted == 0));
         prop_assert!(out.minimized.len() <= out.suite.all().len());
         prop_assert_eq!(out.minimized_exercised, out.coverage.exercised_count());
     }
 
     /// Byte-determinism: the same seed produces identical suites, reports
-    /// and Table I renderings at 1 and 4 matcher threads.
+    /// and Table I renderings on every run.
     #[test]
     fn same_seed_same_bytes_across_threads(seed in any::<u64>(), length in 2usize..4) {
-        let one = generate(length, true, seed, 1);
-        let four = generate(length, true, seed, 4);
-        prop_assert_eq!(&one.suite, &four.suite);
-        prop_assert_eq!(&one.minimized, &four.minimized);
-        prop_assert_eq!(one.report.render(), four.report.render());
-        prop_assert_eq!(render_table1(&one.coverage), render_table1(&four.coverage));
+        let first = generate(length, true, seed);
+        let again = generate(length, true, seed);
+        prop_assert_eq!(&first.suite, &again.suite);
+        prop_assert_eq!(&first.minimized, &again.minimized);
+        prop_assert_eq!(first.report.render(), again.report.render());
+        prop_assert_eq!(render_table1(&first.coverage), render_table1(&again.coverage));
     }
 
     /// Monotonicity: accepted-only growth means the per-iteration dynamic
     /// count never decreases.
     #[test]
     fn coverage_is_monotone_across_iterations(seed in any::<u64>(), length in 2usize..5) {
-        let out = generate(length, false, seed, 0);
+        let out = generate(length, false, seed);
         let counts = out.report.dynamic_counts();
         prop_assert!(
             counts.windows(2).all(|w| w[0] <= w[1]),

@@ -1,23 +1,25 @@
 //! Property-based equivalence gate for incremental re-analysis: on random
 //! single- and multi-model edits of synthetic chains, a
 //! [`SessionArtifacts::build_incremental`] splice against the pre-edit
-//! build must produce **byte-identical** results to a cold
-//! [`SessionArtifacts::build_with`] of the edited design — the full
-//! [`StaticAnalysis`] (associations, lints, subsumption mapping), the
-//! rendered Table I / Table II bodies and the subsumption report — at 1
-//! and 4 analysis threads, with full and reduced tracking (the
-//! `DFT_SUBSUME=0` semantics), and through both match strategies on a
-//! simulated batch. The incremental build's match automaton must also
-//! equal, table by table and compared by name, a cold
-//! [`MatchAutomaton::with_tracking`] over a separately built copy of the
-//! edited design.
+//! build must produce **byte-identical** results to a from-scratch
+//! reference at 1 and 4 analysis threads:
+//!
+//! * the full [`StaticAnalysis`] (associations, lints, subsumption
+//!   mapping) equals [`analyse_with_threads`] of the edited design, which
+//!   never consults a cache;
+//! * the match automaton equals, table by table and compared by name, a
+//!   [`MatchAutomaton::new`] over a separately built copy of the edited
+//!   design;
+//! * the rendered Table I / Table II bodies and the subsumption report of
+//!   a simulated testcase equal those of a [`SessionArtifacts::build_with`]
+//!   of the edited design, which has no previous build to splice from.
 
 use proptest::prelude::*;
 
 use systemc_ams_dft::dft::synth::{synthetic_chain, SynthSpec};
 use systemc_ams_dft::dft::{
-    render_subsumption, render_table1, render_table2, DftSession, MatchAutomaton, MatchStrategy,
-    SessionArtifacts, SessionConfig, Table2Row, Tracking,
+    analyse_with_threads, render_subsumption, render_table1, render_table2, DftSession,
+    MatchAutomaton, SessionArtifacts, SessionConfig, Table2Row,
 };
 use systemc_ams_dft::sim::SimTime;
 
@@ -86,7 +88,7 @@ fn observable(
 /// the derived `Debug` of `SessionArtifacts` embeds it as its `automaton`
 /// field, so the two designs' different interners do not matter.
 fn automaton_equals(artifacts: &SessionArtifacts, reference: &MatchAutomaton) -> bool {
-    format!("{artifacts:?}").contains(&format!("automaton: {reference:?}, tracking: "))
+    format!("{artifacts:?}").contains(&format!("automaton: {reference:?}, static_build: "))
 }
 
 fn arb_case() -> impl Strategy<Value = (usize, bool, Vec<(usize, u32, u32)>)> {
@@ -111,9 +113,8 @@ fn arb_case() -> impl Strategy<Value = (usize, bool, Vec<(usize, u32, u32)>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The gate: cold build of the edited design == incremental splice
-    /// from the pre-edit build, at 1 and 4 threads, Reduced and Full
-    /// tracking.
+    /// The gate: incremental splice from the pre-edit build == from-scratch
+    /// reference of the edited design, at 1 and 4 threads.
     #[test]
     fn incremental_rebuild_is_byte_identical_to_cold(case in arb_case()) {
         let (length, gains, edits) = case;
@@ -125,75 +126,49 @@ proptest! {
         edited_models.dedup();
 
         for threads in [1usize, 4] {
-            for tracking in [Tracking::Reduced, Tracking::Full] {
-                let cold_config = SessionConfig::from_env()
-                    .with_threads(threads)
-                    .with_tracking(tracking)
-                    .with_incremental(false);
-                let incr_config = cold_config.with_incremental(true);
+            let config = SessionConfig::from_env().with_threads(threads);
+            let prev = SessionArtifacts::build_with(base.build_design().unwrap(), &config);
+            let whole = SessionArtifacts::build_with(edited.build_design().unwrap(), &config);
+            let incr = SessionArtifacts::build_incremental(
+                edited.build_design().unwrap(),
+                &prev,
+                &config,
+            );
 
-                // `prev` is built with incremental on: the pure-cold path
-                // skips fingerprinting, so a cold build carries no keys to
-                // splice from.
-                let prev = SessionArtifacts::build_with(
-                    base.build_design().unwrap(),
-                    &incr_config,
-                );
-                let cold = SessionArtifacts::build_with(
-                    edited.build_design().unwrap(),
-                    &cold_config,
-                );
-                let incr = SessionArtifacts::build_incremental(
-                    edited.build_design().unwrap(),
-                    &prev,
-                    &incr_config,
-                );
+            let fresh = edited.build_design().unwrap();
+            let statics = analyse_with_threads(&fresh, threads);
+            prop_assert_eq!(
+                incr.static_analysis(),
+                &statics,
+                "statics diverged (threads={})",
+                threads
+            );
+            prop_assert_eq!(whole.static_analysis(), &statics);
+            // The automaton reads the static stage's CFGs; the reference
+            // builds its own.
+            let reference = MatchAutomaton::new(&fresh, &statics);
+            prop_assert!(
+                automaton_equals(&incr, &reference),
+                "automaton tables diverged (threads={})",
+                threads
+            );
+            prop_assert!(automaton_equals(&whole, &reference));
 
-                prop_assert_eq!(
-                    cold.static_analysis(),
-                    incr.static_analysis(),
-                    "statics diverged (threads={}, tracking={:?})",
-                    threads,
-                    tracking
-                );
-                // The automaton reads the static stage's CFGs; a cold
-                // one over a fresh copy of the design builds its own.
-                let reference = MatchAutomaton::with_tracking(
-                    &edited.build_design().unwrap(),
-                    cold.static_analysis(),
-                    tracking,
-                );
-                prop_assert!(
-                    automaton_equals(&incr, &reference),
-                    "automaton tables diverged (threads={}, tracking={:?})",
-                    threads,
-                    tracking
-                );
-                prop_assert!(automaton_equals(&cold, &reference));
+            // Unchanged models must splice from `prev` (the global model
+            // cache can only lower the count further).
+            prop_assert!(
+                incr.models_rebuilt() <= edited_models.len(),
+                "rebuilt {} models for {} edits",
+                incr.models_rebuilt(),
+                edited_models.len()
+            );
 
-                // Unchanged models must splice from `prev` (the global
-                // model cache can only lower the count further).
-                prop_assert!(
-                    incr.models_rebuilt() <= edited_models.len(),
-                    "rebuilt {} models for {} edits",
-                    incr.models_rebuilt(),
-                    edited_models.len()
-                );
-
-                // Rendered reports through a simulated batch, both match
-                // strategies.
-                for strategy in [MatchStrategy::Streamed, MatchStrategy::Buffered] {
-                    let run_config = incr_config.with_strategy(strategy);
-                    prop_assert_eq!(
-                        observable(cold.clone(), &edited, &run_config),
-                        observable(incr.clone(), &edited, &run_config),
-                        "reports diverged (threads={}, tracking={:?}, strategy={:?})",
-                        threads,
-                        tracking,
-                        strategy
-                    );
-                }
-            }
+            prop_assert_eq!(
+                observable(whole.clone(), &edited, &config),
+                observable(incr.clone(), &edited, &config),
+                "reports diverged (threads={})",
+                threads
+            );
         }
     }
 
@@ -207,14 +182,15 @@ proptest! {
     ) {
         let threads = if four_threads { 4usize } else { 1 };
         let spec = chain_with(length, gains, &[]);
-        let cold_config = SessionConfig::from_env()
-            .with_threads(threads)
-            .with_incremental(false);
-        let incr_config = cold_config.with_incremental(true);
-        let prev = SessionArtifacts::build_with(spec.build_design().unwrap(), &incr_config);
+        let config = SessionConfig::from_env().with_threads(threads);
+        let prev = SessionArtifacts::build_with(spec.build_design().unwrap(), &config);
         let incr =
-            SessionArtifacts::build_incremental(spec.build_design().unwrap(), &prev, &incr_config);
+            SessionArtifacts::build_incremental(spec.build_design().unwrap(), &prev, &config);
         prop_assert_eq!(incr.models_rebuilt(), 0);
         prop_assert_eq!(prev.static_analysis(), incr.static_analysis());
+        prop_assert_eq!(
+            incr.static_analysis(),
+            &analyse_with_threads(&spec.build_design().unwrap(), threads)
+        );
     }
 }

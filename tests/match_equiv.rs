@@ -1,25 +1,30 @@
 //! Property-based equivalence gate for the interned match automaton: on
 //! random synthetic clusters and fault-injected event logs, the
-//! [`MatchAutomaton`] fast path must produce *byte-identical* results —
-//! exercised sets, executed defs, warning sequences, quarantine counts and
-//! rendered coverage reports — to the legacy string matcher, and session
-//! reports must not depend on the matcher thread count.
+//! [`MatchAutomaton`] must produce *byte-identical* results — exercised
+//! sets, executed defs, warning sequences, quarantine counts and rendered
+//! coverage reports — to the string-keyed reference matcher in
+//! `tests/support/string_matcher.rs`, and session reports must match that
+//! reference too.
 //!
 //! The quick variants run in the default suite; heavier case counts are
 //! opted in with `--features fault-inject` (the CI fault-injection job).
+
+mod support;
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
+use support::string_matcher::analyse_events_with_mode;
 use systemc_ams_dft::dft::synth::synthetic_chain;
 use systemc_ams_dft::dft::{
-    analyse, analyse_events_with_mode, obs, render_table1, Coverage, Design, DftSession,
-    MatchAutomaton, MatchMode, MatchStrategy, StaticAnalysis, TestcaseResult, TestcaseSpec,
-    Tracking,
+    analyse, obs, render_table1, Association, BitSet, Coverage, Design, DftSession, DynamicResult,
+    MatchAutomaton, MatchMode, SessionConfig, StaticAnalysis, TestcaseResult, TestcaseSpec,
 };
+use systemc_ams_dft::interp::{Interface, TdfModelDef};
 use systemc_ams_dft::sim::{
-    CompactEvent, Event, FaultInjector, FaultPlan, RecordingSink, RunLimits, SimTime, Simulator,
+    CompactEvent, Event, FaultInjector, FaultPlan, ModuleClass, ModuleInfo, Netlist, Provenance,
+    RecordingSink, SimTime, Simulator,
 };
 
 /// One synthetic chain design with its statics, a prebuilt automaton and a
@@ -28,11 +33,6 @@ struct Fixture {
     design: Design,
     statics: StaticAnalysis,
     automaton: MatchAutomaton,
-    /// Same design/statics with every association row tracked (no
-    /// subsumption reduction), for Full-vs-Reduced equivalence checks.
-    full: MatchAutomaton,
-    /// Explicitly subsumption-reduced twin of `full`.
-    reduced: MatchAutomaton,
     events: Vec<Event>,
 }
 
@@ -49,8 +49,6 @@ fn fixtures() -> &'static Vec<Fixture> {
                 // converted, so fabricated ghost names land above the
                 // freeze — the same situation as a live session.
                 let automaton = MatchAutomaton::new(&design, &statics);
-                let full = MatchAutomaton::with_tracking(&design, &statics, Tracking::Full);
-                let reduced = MatchAutomaton::with_tracking(&design, &statics, Tracking::Reduced);
                 let cluster = spec.build_cluster().unwrap();
                 let mut sim = Simulator::new(cluster).unwrap();
                 let mut sink = RecordingSink::new();
@@ -60,8 +58,6 @@ fn fixtures() -> &'static Vec<Fixture> {
                     design,
                     statics,
                     automaton,
-                    full,
-                    reduced,
                     events: sink.events,
                 }
             })
@@ -87,26 +83,36 @@ fn arb_plan() -> impl Strategy<Value = FaultPlan> {
         })
 }
 
-/// Both matchers over the same (possibly corrupted) log in `mode`: every
-/// result field and the rendered single-testcase coverage report must be
-/// byte-identical, and the coverage bitset must agree with the exercised
-/// set on every static association index.
-fn assert_matchers_equivalent(fx: &Fixture, log: &[Event], mode: MatchMode) {
+/// The automaton and the reference matcher over the same (possibly
+/// corrupted) log in `mode`: every result field and the rendered
+/// single-testcase coverage report must be byte-identical, and the
+/// coverage bitset must agree with the exercised set on every static
+/// association index. Returns the automaton's result.
+fn assert_matchers_equivalent(
+    design: &Design,
+    statics: &StaticAnalysis,
+    automaton: &MatchAutomaton,
+    log: &[Event],
+    mode: MatchMode,
+) -> (DynamicResult, BitSet) {
     let compact: Vec<CompactEvent> = log
         .iter()
-        .map(|e| CompactEvent::from_event(e, fx.automaton.interner()))
+        .map(|e| CompactEvent::from_event(e, automaton.interner()))
         .collect();
-    let legacy = analyse_events_with_mode(&fx.design, log, mode);
-    let (fast, bits) = fx.automaton.analyse_with_coverage(&compact, mode);
+    let reference = analyse_events_with_mode(design, log, mode);
+    let (fast, bits) = automaton.analyse_with_coverage(&compact, mode);
 
-    assert_eq!(fast.exercised, legacy.exercised, "exercised sets differ");
-    assert_eq!(fast.defs_executed, legacy.defs_executed, "defs differ");
-    assert_eq!(fast.warnings, legacy.warnings, "warning sequences differ");
+    assert_eq!(fast.exercised, reference.exercised, "exercised sets differ");
+    assert_eq!(fast.defs_executed, reference.defs_executed, "defs differ");
     assert_eq!(
-        fast.quarantined, legacy.quarantined,
+        fast.warnings, reference.warnings,
+        "warning sequences differ"
+    );
+    assert_eq!(
+        fast.quarantined, reference.quarantined,
         "quarantine counts differ"
     );
-    for (i, ca) in fx.statics.associations.iter().enumerate() {
+    for (i, ca) in statics.associations.iter().enumerate() {
         assert_eq!(
             bits.contains(i),
             fast.exercised.contains(&ca.assoc),
@@ -115,28 +121,34 @@ fn assert_matchers_equivalent(fx: &Fixture, log: &[Event], mode: MatchMode) {
     }
 
     // A coverage built from the bitset run renders exactly like one built
-    // from the legacy hash-probe run.
-    let legacy_run = TestcaseResult {
+    // from the reference's hash-probe run.
+    let reference_run = TestcaseResult {
         name: "TC".into(),
-        exercised: legacy.exercised,
-        defs_executed: legacy.defs_executed,
-        warnings: legacy.warnings,
+        exercised: reference.exercised,
+        defs_executed: reference.defs_executed,
+        warnings: reference.warnings,
         exercised_idx: None,
         ..TestcaseResult::default()
     };
     let fast_run = TestcaseResult {
         name: "TC".into(),
-        exercised: fast.exercised,
-        defs_executed: fast.defs_executed,
-        warnings: fast.warnings,
-        exercised_idx: Some(bits),
+        exercised: fast.exercised.clone(),
+        defs_executed: fast.defs_executed.clone(),
+        warnings: fast.warnings.clone(),
+        exercised_idx: Some(bits.clone()),
         ..TestcaseResult::default()
     };
     assert_eq!(
-        render_table1(&Coverage::evaluate(&fx.statics, &[legacy_run])),
-        render_table1(&Coverage::evaluate(&fx.statics, &[fast_run])),
+        render_table1(&Coverage::evaluate(statics, &[reference_run])),
+        render_table1(&Coverage::evaluate(statics, &[fast_run])),
         "rendered coverage reports differ"
     );
+    (fast, bits)
+}
+
+/// [`assert_matchers_equivalent`] with the fixture's automaton.
+fn assert_fixture_equivalent(fx: &Fixture, log: &[Event], mode: MatchMode) {
+    assert_matchers_equivalent(&fx.design, &fx.statics, &fx.automaton, log, mode);
 }
 
 #[cfg(not(feature = "fault-inject"))]
@@ -156,66 +168,22 @@ proptest! {
     ) {
         let fx = &fixtures()[which];
         let corrupted = FaultInjector::new(plan).corrupt_log(&fx.events);
-        assert_matchers_equivalent(fx, &corrupted, MatchMode::Lenient);
-        assert_matchers_equivalent(fx, &corrupted, MatchMode::Strict);
-    }
-
-    /// Subsumption-reduced tracking must reconstruct *byte-identical* raw
-    /// results — exercised set, defs, warnings, quarantine count, coverage
-    /// bitset and rendered Table I — versus full tracking, on
-    /// fault-injected logs in both match modes. Faults matter here: a
-    /// corrupted log can exercise a frontier association while every
-    /// record of a statically-subsumed one was dropped, so the
-    /// reconstruction must come from the dynamic seen-pair set, never from
-    /// the static implication map.
-    #[test]
-    fn reduced_tracking_matches_full_on_injected_faults(
-        which in 0usize..3,
-        plan in arb_plan(),
-    ) {
-        let fx = &fixtures()[which];
-        let corrupted = FaultInjector::new(plan).corrupt_log(&fx.events);
-        let compact: Vec<CompactEvent> = corrupted
-            .iter()
-            .map(|e| CompactEvent::from_event(e, fx.full.interner()))
-            .collect();
-        for mode in [MatchMode::Lenient, MatchMode::Strict] {
-            let (rf, bf) = fx.full.analyse_with_coverage(&compact, mode);
-            let (rr, br) = fx.reduced.analyse_with_coverage(&compact, mode);
-            prop_assert_eq!(&rr.exercised, &rf.exercised);
-            prop_assert_eq!(&rr.defs_executed, &rf.defs_executed);
-            prop_assert_eq!(&rr.warnings, &rf.warnings);
-            prop_assert_eq!(rr.quarantined, rf.quarantined);
-            prop_assert_eq!(&br, &bf, "coverage bitsets differ");
-
-            let run = |r: systemc_ams_dft::dft::DynamicResult, bits| TestcaseResult {
-                name: "TC".into(),
-                exercised: r.exercised,
-                defs_executed: r.defs_executed,
-                warnings: r.warnings,
-                exercised_idx: Some(bits),
-                ..TestcaseResult::default()
-            };
-            prop_assert_eq!(
-                render_table1(&Coverage::evaluate(&fx.statics, &[run(rr, br)])),
-                render_table1(&Coverage::evaluate(&fx.statics, &[run(rf, bf)])),
-                "rendered coverage reports differ"
-            );
-        }
+        assert_fixture_equivalent(fx, &corrupted, MatchMode::Lenient);
+        assert_fixture_equivalent(fx, &corrupted, MatchMode::Strict);
     }
 
     /// Healthy logs are the common case; cover them explicitly too.
     #[test]
     fn automaton_matches_legacy_on_healthy_logs(which in 0usize..3) {
         let fx = &fixtures()[which];
-        assert_matchers_equivalent(fx, &fx.events, MatchMode::Lenient);
-        assert_matchers_equivalent(fx, &fx.events, MatchMode::Strict);
+        assert_fixture_equivalent(fx, &fx.events, MatchMode::Lenient);
+        assert_fixture_equivalent(fx, &fx.events, MatchMode::Strict);
     }
 
     /// The streaming cursor fed one event at a time must be byte-identical
-    /// to the buffered whole-log analysis — every result field, the
-    /// coverage bitset and the rendered Table I — in both match modes,
-    /// on fault-injected logs.
+    /// to the whole-log analysis — every result field, the coverage bitset
+    /// and the rendered Table I — in both match modes, on fault-injected
+    /// logs.
     #[test]
     fn cursor_streaming_matches_buffered_analysis(
         which in 0usize..3,
@@ -241,7 +209,7 @@ proptest! {
             prop_assert_eq!(streamed.quarantined, buffered.quarantined);
             prop_assert_eq!(&streamed_bits, &buffered_bits, "coverage bitsets differ");
 
-            let run = |r: systemc_ams_dft::dft::DynamicResult, bits| TestcaseResult {
+            let run = |r: DynamicResult, bits| TestcaseResult {
                 name: "TC".into(),
                 exercised: r.exercised,
                 defs_executed: r.defs_executed,
@@ -258,27 +226,31 @@ proptest! {
     }
 }
 
-/// The batch pipeline (simulate → pooled compact logs → shared automaton
-/// across `DFT_THREADS` workers) renders identical reports at 1 and 4
-/// matcher threads.
+/// The three testcase clusters every session test below runs, by name.
+fn chain_testcases(length: usize) -> Vec<TestcaseSpec> {
+    let spec = synthetic_chain(length, true);
+    (0..3)
+        .map(|i| {
+            TestcaseSpec::new(
+                format!("TC{i}"),
+                spec.build_cluster().unwrap(),
+                SimTime::from_us(40),
+            )
+        })
+        .collect()
+}
+
+/// Sessions render identical reports whether their static stage ran on 1
+/// or 4 workers.
 #[test]
 fn session_reports_identical_across_thread_counts() {
     for length in [2usize, 5] {
         let mut outputs = Vec::new();
         for threads in [1usize, 4] {
-            let spec = synthetic_chain(length, true);
-            let design = spec.build_design().unwrap();
-            let mut session = DftSession::new(design).unwrap();
-            let specs: Vec<TestcaseSpec> = (0..3)
-                .map(|i| {
-                    TestcaseSpec::new(
-                        format!("TC{i}"),
-                        spec.build_cluster().unwrap(),
-                        SimTime::from_us(40),
-                    )
-                })
-                .collect();
-            session.run_testcases_with_threads(specs, RunLimits::none(), threads);
+            let design = synthetic_chain(length, true).build_design().unwrap();
+            let config = SessionConfig::from_env().with_threads(threads);
+            let mut session = DftSession::with_config(design, config).unwrap();
+            session.run_testcases(chain_testcases(length)).unwrap();
             let warnings: usize = session.runs().iter().map(|r| r.warnings.len()).sum();
             outputs.push((render_table1(&session.coverage()), warnings));
         }
@@ -289,49 +261,70 @@ fn session_reports_identical_across_thread_counts() {
     }
 }
 
-/// The streamed and buffered session strategies render identical reports,
-/// and neither depends on the matcher thread count (1 vs 4) — streaming
-/// matches inline during simulation, so the thread knob must be a no-op
-/// there, while the buffered fan-out must merge deterministically.
+/// A session's batch and single-run paths render the same Table I and the
+/// same per-run warnings as the reference: each testcase's log recorded
+/// whole, matched by the string-keyed matcher in the sessions' lenient
+/// mode, over a from-scratch static analysis.
 #[test]
 fn session_strategies_identical_across_thread_counts() {
     for length in [2usize, 5] {
-        let mut outputs = Vec::new();
-        for strategy in [MatchStrategy::Streamed, MatchStrategy::Buffered] {
-            for threads in [1usize, 4] {
-                let spec = synthetic_chain(length, true);
-                let design = spec.build_design().unwrap();
-                let mut session = DftSession::new(design).unwrap();
-                session.set_match_strategy(strategy);
-                let specs: Vec<TestcaseSpec> = (0..3)
-                    .map(|i| {
-                        TestcaseSpec::new(
-                            format!("TC{i}"),
-                            spec.build_cluster().unwrap(),
-                            SimTime::from_us(40),
-                        )
-                    })
-                    .collect();
-                session.run_testcases_with_threads(specs, RunLimits::none(), threads);
-                let warnings: usize = session.runs().iter().map(|r| r.warnings.len()).sum();
-                outputs.push((render_table1(&session.coverage()), warnings));
-            }
+        let spec = synthetic_chain(length, true);
+        let design = spec.build_design().unwrap();
+        let statics = analyse(&design);
+        let reference_runs: Vec<TestcaseResult> = chain_testcases(length)
+            .into_iter()
+            .map(|tc| {
+                let mut sim = Simulator::new(tc.cluster).unwrap();
+                let mut sink = RecordingSink::new();
+                sim.run(tc.duration, &mut sink).unwrap();
+                let r = analyse_events_with_mode(&design, &sink.events, MatchMode::Lenient);
+                TestcaseResult {
+                    name: tc.name,
+                    exercised: r.exercised,
+                    defs_executed: r.defs_executed,
+                    warnings: r.warnings,
+                    exercised_idx: None,
+                    ..TestcaseResult::default()
+                }
+            })
+            .collect();
+        let report = |cov: &Coverage, runs: &[TestcaseResult]| {
+            let warnings: Vec<_> = runs.iter().map(|r| r.warnings.clone()).collect();
+            (render_table1(cov), warnings)
+        };
+        let reference = report(
+            &Coverage::evaluate(&statics, &reference_runs),
+            &reference_runs,
+        );
+
+        let mut batch = DftSession::new(spec.build_design().unwrap()).unwrap();
+        assert_eq!(batch.static_analysis(), &statics, "chain{length}: statics");
+        batch.run_testcases(chain_testcases(length)).unwrap();
+        assert_eq!(
+            report(&batch.coverage(), batch.runs()),
+            reference,
+            "chain{length}: batch differs from the reference"
+        );
+
+        let mut single = DftSession::new(spec.build_design().unwrap()).unwrap();
+        for tc in chain_testcases(length) {
+            single
+                .run_testcase(&tc.name, tc.cluster, tc.duration)
+                .unwrap();
         }
-        for o in &outputs[1..] {
-            assert_eq!(
-                &outputs[0], o,
-                "chain{length} differs by strategy or thread count"
-            );
-        }
+        assert_eq!(
+            report(&single.coverage(), single.runs()),
+            reference,
+            "chain{length}: single runs differ from the reference"
+        );
     }
 }
 
-/// Peak-memory gate for the streamed pipeline: events flow through the
-/// `match.streamed_events` counter instead of a materialized log, so a
-/// streamed session finishes with an empty buffer pool, while a buffered
-/// one pools the full-log `Vec` it recorded. (The counter is
-/// process-global and tests run concurrently, so the assertion is a
-/// strict increase, not an exact delta.)
+/// Streamed sessions match events as the kernel emits them: every event
+/// ticks the `match.streamed_events` counter instead of landing in a
+/// materialized log. (The counter is process-global and tests run
+/// concurrently, so the assertion is a strict increase, not an exact
+/// delta.)
 #[test]
 fn streamed_sessions_materialize_no_log() {
     let was_on = obs::metrics_enabled();
@@ -339,7 +332,6 @@ fn streamed_sessions_materialize_no_log() {
 
     let spec = synthetic_chain(3, true);
     let mut session = DftSession::new(spec.build_design().unwrap()).unwrap();
-    session.set_match_strategy(MatchStrategy::Streamed);
     let before = obs::MetricsReport::capture().counter("match.streamed_events");
     session
         .run_testcase(
@@ -349,29 +341,157 @@ fn streamed_sessions_materialize_no_log() {
         )
         .unwrap();
     let after = obs::MetricsReport::capture().counter("match.streamed_events");
+    obs::set_metrics_enabled(was_on);
     assert!(
         after > before,
         "every streamed event must tick match.streamed_events ({before} -> {after})"
     );
-    assert_eq!(
-        session.pool_len(),
-        0,
-        "streamed runs must not materialize a pooled event log"
-    );
+}
 
-    let mut session = DftSession::new(spec.build_design().unwrap()).unwrap();
-    session.set_match_strategy(MatchStrategy::Buffered);
-    session
-        .run_testcase(
-            "TC_buffer",
-            spec.build_cluster().unwrap(),
-            SimTime::from_us(50),
-        )
-        .unwrap();
-    obs::set_metrics_enabled(was_on);
-    assert_eq!(
-        session.pool_len(),
-        1,
-        "the buffered strategy records into (and pools) a full-log Vec"
-    );
+// ------------------------------------------------ hand-written scenarios
+
+/// One model `M` (input `ip_x`, output `op_y`, member `m_s`) whose body
+/// defines `t` on line 3 and uses it on line 4.
+fn small_design() -> Design {
+    let src = "void M::processing()\n{\n    double t = ip_x;\n    op_y = t;\n}";
+    let tu = minic::parse(src).unwrap();
+    let models = vec![TdfModelDef::new(
+        "M",
+        Interface::new()
+            .input("ip_x")
+            .output("op_y")
+            .member("m_s", 0i64),
+    )];
+    let netlist = Netlist {
+        cluster: "top".into(),
+        bindings: vec![],
+        modules: vec![ModuleInfo {
+            name: "M".into(),
+            class: ModuleClass::UserCode,
+            in_ports: vec!["ip_x".into()],
+            out_ports: vec!["op_y".into()],
+        }],
+    };
+    Design::new(tu, models, netlist).unwrap()
+}
+
+fn def_at(model: &str, var: &str, line: u32, us: u64) -> Event {
+    Event::Def {
+        time: SimTime::from_us(us),
+        model: model.into(),
+        var: var.into(),
+        line,
+    }
+}
+
+fn use_at(model: &str, var: &str, line: u32, us: u64) -> Event {
+    Event::Use {
+        time: SimTime::from_us(us),
+        model: model.into(),
+        var: var.into(),
+        line,
+        feeding: None,
+        defined: true,
+    }
+}
+
+fn fed(model: &str, var: &str, line: u32, prov: Provenance) -> Event {
+    Event::Use {
+        time: SimTime::ZERO,
+        model: model.into(),
+        var: var.into(),
+        line,
+        feeding: Some(prov),
+        defined: true,
+    }
+}
+
+/// [`assert_matchers_equivalent`] with an automaton built from scratch
+/// over `design`.
+fn assert_equiv(design: &Design, events: &[Event], mode: MatchMode) -> (DynamicResult, BitSet) {
+    let statics = analyse(design);
+    let automaton = MatchAutomaton::new(design, &statics);
+    assert_matchers_equivalent(design, &statics, &automaton, events, mode)
+}
+
+#[test]
+fn matches_legacy_on_a_healthy_log_in_both_modes() {
+    let d = small_design();
+    let events = vec![
+        def_at("M", "t", 3, 0),
+        use_at("M", "t", 4, 0),
+        def_at("M", "m_s", 7, 1),
+        use_at("M", "m_s", 3, 2),
+        use_at("M", "ip_x", 3, 2),
+        fed("M", "ip_x", 3, Provenance::new("op_y", 4, "M")),
+        fed("M", "ip_x", 3, Provenance::new("op_out", 14, "top")),
+    ];
+    let (strict, _) = assert_equiv(&d, &events, MatchMode::Strict);
+    assert!(strict
+        .exercised
+        .contains(&Association::new("t", 3, "M", 4, "M")));
+    assert!(strict
+        .exercised
+        .contains(&Association::new("ip_x", 1, "M", 3, "M")));
+    assert!(strict
+        .exercised
+        .contains(&Association::new("op_out", 14, "top", 3, "M")));
+    assert_equiv(&d, &events, MatchMode::Lenient);
+}
+
+#[test]
+fn matches_legacy_on_unknown_models_in_strict_mode() {
+    // Strict mode matches events of models the design never declared
+    // (their symbols may even be interned post-freeze): they take the
+    // overflow last-def path.
+    let d = small_design();
+    let events = vec![
+        def_at("TS", "x", 5, 0),
+        use_at("TS", "x", 6, 0),
+        fed("M", "ip_x", 3, Provenance::new("op_out", 14, "TS")),
+        use_at("TS", "y", 7, 0), // use without def in an unknown model
+    ];
+    let (strict, _) = assert_equiv(&d, &events, MatchMode::Strict);
+    assert!(strict
+        .exercised
+        .contains(&Association::new("x", 5, "TS", 6, "TS")));
+    assert!(strict
+        .exercised
+        .contains(&Association::new("op_out", 14, "TS", 3, "M")));
+}
+
+#[test]
+fn matches_legacy_on_ghost_corruption_in_lenient_mode() {
+    let d = small_design();
+    let events = vec![
+        use_at("__ghost_model_0", "t", 4, 0),
+        use_at("__ghost_model_0", "t", 4, 1),
+        use_at("M", "__ghost_var_0", 4, 0),
+        fed(
+            "M",
+            "ip_x",
+            3,
+            Provenance::new("op_out", 14, "__ghost_model_2"),
+        ),
+        def_at("M", "t", 3, 0),
+        use_at("M", "t", 4, 0),
+    ];
+    let (lenient, _) = assert_equiv(&d, &events, MatchMode::Lenient);
+    assert_eq!(lenient.quarantined, 4);
+    // Ghost events also match the reference when strict mode trusts them.
+    assert_equiv(&d, &events, MatchMode::Strict);
+}
+
+#[test]
+fn matches_legacy_on_backward_time_def_poisoning() {
+    let d = small_design();
+    let events = vec![
+        def_at("M", "t", 3, 10),
+        def_at("M", "t", 9, 0), // warped backwards: quarantined, poisons
+        use_at("M", "t", 10, 10),
+    ];
+    let (lenient, bits) = assert_equiv(&d, &events, MatchMode::Lenient);
+    assert_eq!(lenient.quarantined, 1);
+    assert!(lenient.exercised.is_empty());
+    assert!(bits.is_empty());
 }

@@ -3,9 +3,9 @@
 //! * a compiled [`MonitorBank`] is total — arbitrary assertion trees fed
 //!   arbitrary (even non-monotone) sample soup never panic and always
 //!   yield exactly one verdict per assertion, in spec order;
-//! * verdicts are byte-identical across `Streamed`/`Buffered` matching
-//!   and 1/4 matching threads (simulation is always sequential, so the
-//!   monitor sees the same stream whatever the fan-out);
+//! * verdicts are byte-identical at 1 and 4 analysis threads (simulation
+//!   is always sequential, so the monitor sees the same stream whatever
+//!   the fan-out);
 //! * sessions without assertions behave byte-identically to sessions
 //!   that never heard of the monitor.
 
@@ -13,8 +13,7 @@ use proptest::prelude::*;
 
 use stimuli::{Signal, Testcase};
 use systemc_ams_dft::dft::{
-    render_table1, render_verdicts, verdicts_to_csv, DftSession, MatchStrategy, SessionConfig,
-    TestcaseSpec,
+    render_table1, render_verdicts, verdicts_to_csv, DftSession, SessionConfig, TestcaseSpec,
 };
 use systemc_ams_dft::models::pid::{build_pid_cluster, pid_assertions, pid_design, PidTuning, REF};
 use systemc_ams_dft::monitor::{AssertionExpr, AssertionSpec, MonitorBank, SignalPred};
@@ -141,9 +140,9 @@ proptest! {
         }
     }
 
-    /// The matching fan-out never touches the verdicts: Streamed and
-    /// Buffered strategies at 1 and 4 threads produce byte-identical
-    /// verdict CSVs on the PID loop, nominal or fault-injected.
+    /// The worker count never touches the verdicts: sessions at 1 and 4
+    /// threads produce byte-identical verdict CSVs on the PID loop,
+    /// nominal or fault-injected.
     #[test]
     fn verdicts_identical_across_threads_and_strategies(
         level in 2.0f64..18.0,
@@ -152,19 +151,16 @@ proptest! {
         let tuning = if detuned { PidTuning::detuned() } else { PidTuning::nominal() };
         let tc = Testcase::new("prop", SimTime::from_ms(10)).with(REF, Signal::Constant(level));
         let mut csvs = Vec::new();
-        for strategy in [MatchStrategy::Streamed, MatchStrategy::Buffered] {
-            for threads in [1usize, 4] {
-                let config = SessionConfig::default().with_threads(threads);
-                let mut session =
-                    DftSession::with_config(pid_design().unwrap(), config).unwrap()
-                        .with_assertions(pid_assertions());
-                session.set_match_strategy(strategy);
-                let (cluster, _) = build_pid_cluster(&tc, tuning).unwrap();
-                let _ = session.run_testcases(vec![TestcaseSpec::new(
-                    &tc.name, cluster, tc.duration,
-                )]);
-                csvs.push(verdicts_to_csv(session.runs()));
-            }
+        for threads in [1usize, 4] {
+            let config = SessionConfig::default().with_threads(threads);
+            let mut session =
+                DftSession::with_config(pid_design().unwrap(), config).unwrap()
+                    .with_assertions(pid_assertions());
+            let (cluster, _) = build_pid_cluster(&tc, tuning).unwrap();
+            let _ = session.run_testcases(vec![TestcaseSpec::new(
+                &tc.name, cluster, tc.duration,
+            )]);
+            csvs.push(verdicts_to_csv(session.runs()));
         }
         for other in &csvs[1..] {
             prop_assert_eq!(&csvs[0], other, "verdicts diverged across configs");

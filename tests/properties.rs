@@ -5,7 +5,9 @@
 use proptest::prelude::*;
 
 use systemc_ams_dft::dft::{Association, Classification, Coverage, StaticAnalysis, TestcaseResult};
-use systemc_ams_dft::flow::{enumerate_du_paths, path_facts, BitSet, Cfg, ReachingDefs};
+use systemc_ams_dft::flow::{
+    enumerate_du_paths, path_facts, BitSet, Cfg, DuPair, PathFacts, ReachingDefs,
+};
 use systemc_ams_dft::signals::Signal;
 use systemc_ams_dft::sim::SimTime;
 
@@ -115,6 +117,21 @@ fn arb_loopy_program() -> impl Strategy<Value = String> {
     })
 }
 
+/// The reference for [`path_facts`]: the same question answered with a
+/// fresh BFS per query instead of the cached transitive closure.
+fn path_facts_uncached(cfg: &Cfg, rd: &ReachingDefs, pair: &DuPair) -> PathFacts {
+    let from_def = cfg.reachable_from(rd.def(pair.def).node, 1);
+    let has_non_du_path = rd.defs_of(&pair.var).iter().any(|other| {
+        other.id != pair.def
+            && from_def.contains(other.node)
+            && cfg.reachable_from(other.node, 1).contains(pair.use_node)
+    });
+    PathFacts {
+        has_du_path: true,
+        has_non_du_path,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -124,7 +141,6 @@ proptest! {
     /// reference implementation on every reaching pair.
     #[test]
     fn closure_cache_agrees_with_fresh_bfs(src in arb_loopy_program()) {
-        use systemc_ams_dft::flow::path_facts_uncached;
         let tu = minic::parse(&src).expect("generated programs parse");
         let plain = Cfg::from_function(&tu.functions[0]);
         let looped = plain.looped();

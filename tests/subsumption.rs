@@ -1,74 +1,28 @@
-//! Integration gate for subsumption-reduced coverage tracking on the three
-//! case studies (sensor, window lifter, buck-boost):
+//! Integration gate for the subsumption report on the three case studies
+//! (sensor, window lifter, buck-boost):
 //!
 //! * the unsubsumed frontier is *strictly smaller* than the raw
 //!   association set on every study (the reduction is non-trivial);
-//! * every dropped association is implied by a tracked frontier one;
-//! * with real simulated suites, a [`Tracking::Full`] automaton and a
-//!   [`Tracking::Reduced`] one produce byte-identical raw results —
-//!   exercised sets, coverage bitsets, Table I/II, summary and CSV
-//!   exports. Raw reporting must not change at all under reduction.
+//! * every dropped association is implied by a tracked frontier one.
+//!
+//! Coverage itself always tracks every association; the rendered
+//! subsumption report is pinned by `tests/report_goldens.rs`.
 
-use systemc_ams_dft::dft::{
-    analyse, associations_to_csv, coverage_to_csv, render_summary, render_table1, render_table2,
-    Coverage, Design, MatchAutomaton, MatchMode, StaticAnalysis, Table2Row, TestcaseResult,
-    Tracking,
-};
+use systemc_ams_dft::dft::{analyse, Design, StaticAnalysis};
 use systemc_ams_dft::models::{buck_boost, sensor, window_lifter};
-use systemc_ams_dft::signals::Testcase;
-use systemc_ams_dft::sim::{CompactEvent, Event, RecordingSink, Simulator};
 
-/// A case study: its design plus a builder for per-testcase clusters and
-/// the initial-iteration testcases to simulate.
-struct Study {
-    name: &'static str,
-    design: Design,
-    logs: Vec<(String, Vec<Event>)>,
-}
-
-fn capture<F>(tcs: &[Testcase], build: F) -> Vec<(String, Vec<Event>)>
-where
-    F: Fn(&Testcase) -> systemc_ams_dft::sim::Cluster,
-{
-    tcs.iter()
-        .map(|tc| {
-            let mut sim = Simulator::new(build(tc)).expect("simulator");
-            let mut sink = RecordingSink::new();
-            sim.run(tc.duration, &mut sink).expect("simulation");
-            assert!(!sink.events.is_empty(), "{} produced no events", tc.name);
-            (tc.name.clone(), sink.events)
-        })
-        .collect()
-}
-
-fn studies() -> Vec<Study> {
-    let sensor_suite = sensor::sensor_testcases();
-    let lifter_suite = window_lifter::lifter_suite();
-    let bb_suite = buck_boost::bb_suite();
+/// A case study's design, by name.
+fn studies() -> Vec<(&'static str, Design)> {
     vec![
-        Study {
-            name: "sensor",
-            design: sensor::sensor_design(sensor::BUGGY_ADC_FULL_SCALE).expect("design"),
-            logs: capture(&sensor_suite, |tc| {
-                sensor::build_sensor_cluster(tc, sensor::BUGGY_ADC_FULL_SCALE)
-                    .expect("cluster")
-                    .0
-            }),
-        },
-        Study {
-            name: "window_lifter",
-            design: window_lifter::lifter_design().expect("design"),
-            logs: capture(lifter_suite.up_to(0), |tc| {
-                window_lifter::build_lifter_cluster(tc).expect("cluster").0
-            }),
-        },
-        Study {
-            name: "buck_boost",
-            design: buck_boost::bb_design().expect("design"),
-            logs: capture(bb_suite.up_to(0), |tc| {
-                buck_boost::build_bb_cluster(tc).expect("cluster").0
-            }),
-        },
+        (
+            "sensor",
+            sensor::sensor_design(sensor::BUGGY_ADC_FULL_SCALE).expect("design"),
+        ),
+        (
+            "window_lifter",
+            window_lifter::lifter_design().expect("design"),
+        ),
+        ("buck_boost", buck_boost::bb_design().expect("design")),
     ]
 }
 
@@ -104,75 +58,7 @@ fn assert_reduction_invariants(name: &str, sa: &StaticAnalysis) {
 
 #[test]
 fn case_study_frontiers_are_strictly_smaller() {
-    for study in studies() {
-        let sa = analyse(&study.design);
-        assert_reduction_invariants(study.name, &sa);
-    }
-}
-
-#[test]
-fn reduced_tracking_reports_are_byte_identical_on_case_studies() {
-    for study in studies() {
-        let sa = analyse(&study.design);
-        let full = MatchAutomaton::with_tracking(&study.design, &sa, Tracking::Full);
-        let reduced = MatchAutomaton::with_tracking(&study.design, &sa, Tracking::Reduced);
-        let mut runs_full = Vec::new();
-        let mut runs_reduced = Vec::new();
-        for (name, events) in &study.logs {
-            let compact: Vec<CompactEvent> = events
-                .iter()
-                .map(|e| CompactEvent::from_event(e, full.interner()))
-                .collect();
-            let (rf, bf) = full.analyse_with_coverage(&compact, MatchMode::Lenient);
-            let (rr, br) = reduced.analyse_with_coverage(&compact, MatchMode::Lenient);
-            assert_eq!(rr.exercised, rf.exercised, "{}/{name}", study.name);
-            assert_eq!(br, bf, "{}/{name}: coverage bits differ", study.name);
-            let run = |r: systemc_ams_dft::dft::DynamicResult, bits| TestcaseResult {
-                name: name.clone(),
-                exercised: r.exercised,
-                defs_executed: r.defs_executed,
-                warnings: r.warnings,
-                exercised_idx: Some(bits),
-                ..TestcaseResult::default()
-            };
-            runs_full.push(run(rf, bf));
-            runs_reduced.push(run(rr, br));
-        }
-        let cov_full = Coverage::evaluate(&sa, &runs_full);
-        let cov_reduced = Coverage::evaluate(&sa, &runs_reduced);
-        assert_eq!(
-            render_table1(&cov_full),
-            render_table1(&cov_reduced),
-            "{}: Table I differs",
-            study.name
-        );
-        let row = |cov: &Coverage| {
-            render_table2(&[Table2Row::from_coverage(
-                study.name,
-                0,
-                study.logs.len(),
-                cov,
-            )])
-        };
-        assert_eq!(
-            row(&cov_full),
-            row(&cov_reduced),
-            "{}: Table II",
-            study.name
-        );
-        assert_eq!(
-            render_summary(&cov_full),
-            render_summary(&cov_reduced),
-            "{}: summary differs",
-            study.name
-        );
-        assert_eq!(
-            coverage_to_csv(&cov_full),
-            coverage_to_csv(&cov_reduced),
-            "{}: coverage CSV differs",
-            study.name
-        );
-        // The association export never depends on tracking at all.
-        assert!(!associations_to_csv(&sa).is_empty());
+    for (name, design) in studies() {
+        assert_reduction_invariants(name, &analyse(&design));
     }
 }
