@@ -240,14 +240,22 @@ impl MatchAutomaton {
 
         // Intern everything the tables index by, so every "known" name is
         // guaranteed a stable id below `frozen`, recording each model's
-        // vocabulary as it goes. Design construction already interned the
-        // declarations; re-interning is an idempotent lookup.
-        let cluster_sym = interner.intern(&netlist.cluster);
+        // vocabulary as it goes. Each distinct name is interned once, on
+        // its first occurrence, so ids are those of interning every
+        // occurrence; repeats resolve through `resolved`. Design
+        // construction already interned the declarations.
+        let mut resolved: FxHashMap<&str, Sym> = FxHashMap::default();
+        let mut sym = |name| {
+            *resolved
+                .entry(name)
+                .or_insert_with(|| interner.intern(name))
+        };
+        let cluster_sym = sym(&netlist.cluster);
         let mut module_syms = Vec::with_capacity(netlist.modules.len());
         for m in &netlist.modules {
-            module_syms.push((interner.intern(&m.name), m.name.as_str()));
+            module_syms.push((sym(&m.name), m.name.as_str()));
             for p in m.in_ports.iter().chain(&m.out_ports) {
-                interner.intern(p);
+                sym(p);
             }
         }
         // Per declared model: its symbol, and the range of `vocab` holding
@@ -256,36 +264,47 @@ impl MatchAutomaton {
         let mut vocab: Vec<u32> = Vec::new();
         let mut def_syms: Vec<(Sym, Range<usize>, Range<usize>)> = Vec::with_capacity(cfgs.len());
         for (def, cfg) in design.models().iter().zip(&cfgs) {
-            let model = interner.intern(&def.model);
+            let model = sym(&def.model);
             let begin = vocab.len();
             for p in def.interface.inputs.iter().chain(&def.interface.outputs) {
-                vocab.push(interner.intern(&p.name).0);
+                vocab.push(sym(&p.name).0);
             }
             let members = vocab.len();
             for (member, _) in &def.interface.members {
-                vocab.push(interner.intern(member).0);
+                vocab.push(sym(member).0);
             }
             let members = members..vocab.len();
             if let Some(cfg) = cfg {
                 for node in cfg.nodes() {
                     for d in &node.def_use.defs {
-                        vocab.push(interner.intern(&d.name).0);
+                        vocab.push(sym(&d.name).0);
                     }
                     for u in &node.def_use.uses {
-                        vocab.push(interner.intern(&u.name).0);
+                        vocab.push(sym(&u.name).0);
                     }
                 }
             }
             def_syms.push((model, begin..vocab.len(), members));
         }
+        // Associations come sorted by class, defining model and variable,
+        // so each name field mostly repeats the previous association's.
+        let mut last: [Option<(&str, Sym)>; 3] = [None; 3];
         let keys: Vec<AssocKey> = statics
             .associations
             .iter()
             .map(|ca| {
                 let a = &ca.assoc;
-                let var = interner.intern(&a.var).0;
-                let def_model = interner.intern(&a.def_model).0;
-                let use_model = interner.intern(&a.use_model).0;
+                let mut field = |i: usize, name| match last[i] {
+                    Some((prev, s)) if prev == name => s.0,
+                    _ => {
+                        let s = sym(name);
+                        last[i] = Some((name, s));
+                        s.0
+                    }
+                };
+                let var = field(0, &a.var);
+                let def_model = field(1, &a.def_model);
+                let use_model = field(2, &a.use_model);
                 (var, a.def_line, def_model, a.use_line, use_model)
             })
             .collect();
@@ -321,7 +340,7 @@ impl MatchAutomaton {
             // in-port there, exactly like `Design::kind_of`.
             if let Some(iface) = interfaces.get(name) {
                 for p in &iface.inputs {
-                    row_inport[r].insert(interner.intern(&p.name).0 as usize);
+                    row_inport[r].insert(sym(&p.name).0 as usize);
                 }
             }
         }

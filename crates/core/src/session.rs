@@ -95,7 +95,7 @@ impl SessionArtifacts {
     /// cache when an identical model was analysed before, and is computed
     /// otherwise.
     pub fn build_with(design: Design, config: &SessionConfig) -> Arc<SessionArtifacts> {
-        Self::assemble(design, None, config)
+        Self::assemble(design, None, config, ModelArtifactCache::global())
     }
 
     /// Like [`SessionArtifacts::build_with`], but diffs `design`'s
@@ -121,18 +121,21 @@ impl SessionArtifacts {
         prev: &SessionArtifacts,
         config: &SessionConfig,
     ) -> Arc<SessionArtifacts> {
-        Self::assemble(design, Some(prev), config)
+        Self::assemble(design, Some(prev), config, ModelArtifactCache::global())
     }
 
+    /// The one build body: the static stage against `cache` (and `prev`,
+    /// if any), then the automaton over its CFGs.
     fn assemble(
         design: Design,
         prev: Option<&SessionArtifacts>,
         config: &SessionConfig,
+        cache: &ModelArtifactCache,
     ) -> Arc<SessionArtifacts> {
         let outcome = analyse_build(
             &design,
             config.threads,
-            Some(ModelArtifactCache::global()),
+            Some(cache),
             prev.map(|p| &p.static_build),
         );
         let automaton =
@@ -1117,6 +1120,40 @@ void B::processing()
             reports.push(crate::render_table1(&session.coverage()));
         }
         assert_eq!(reports[0], reports[1]);
+    }
+
+    /// The parallel fan-out itself: every build gets a fresh model cache,
+    /// so each analyses all its models on 1 or 4 workers instead of
+    /// splicing them from an earlier build.
+    #[test]
+    fn fresh_cache_builds_agree_across_thread_counts() {
+        for length in [2usize, 5] {
+            let spec = crate::synth::synthetic_chain(length, true);
+            let mut outputs = Vec::new();
+            for threads in [1usize, 4] {
+                let config = SessionConfig::from_env().with_threads(threads);
+                let cache = ModelArtifactCache::new(64);
+                let design = spec.build_design().unwrap();
+                let artifacts = SessionArtifacts::assemble(design, None, &config, &cache);
+                assert_eq!(
+                    artifacts.models_rebuilt(),
+                    artifacts.model_count(),
+                    "chain{length} at {threads} threads spliced a model"
+                );
+                let mut session = DftSession::from_artifacts(artifacts, config);
+                let testcases = (0..3).map(|i| {
+                    let cluster = spec.build_cluster().unwrap();
+                    TestcaseSpec::new(format!("TC{i}"), cluster, SimTime::from_us(40))
+                });
+                session.run_testcases(testcases.collect()).unwrap();
+                let warnings: Vec<_> = session.runs().iter().map(|r| r.warnings.clone()).collect();
+                outputs.push((crate::render_table1(&session.coverage()), warnings));
+            }
+            assert_eq!(
+                outputs[0], outputs[1],
+                "chain{length} differs by thread count"
+            );
+        }
     }
 
     #[test]

@@ -111,12 +111,31 @@ impl Parser {
         &self.tokens[i].kind
     }
 
+    /// Consumes the current token. Its kind is moved out, not cloned: the
+    /// parser never looks behind the cursor except at a consumed token's
+    /// span. The final `Eof` is never consumed, so it stays in place.
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
+        let last = self.tokens.len() - 1;
+        if self.pos >= last {
+            return self.tokens[last].clone();
         }
-        t
+        let t = &mut self.tokens[self.pos];
+        self.pos += 1;
+        Token {
+            kind: std::mem::replace(&mut t.kind, TokenKind::Eof),
+            span: t.span,
+        }
+    }
+
+    /// Consumes the identifier the caller peeked.
+    fn bump_ident(&mut self) -> (String, Span) {
+        match self.bump() {
+            Token {
+                kind: TokenKind::Ident(name),
+                span,
+            } => (name, span),
+            _ => unreachable!("caller peeked an identifier"),
+        }
     }
 
     fn eat(&mut self, kind: &TokenKind) -> bool {
@@ -141,11 +160,8 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<(String, Span)> {
-        match self.peek_kind().clone() {
-            TokenKind::Ident(name) => {
-                let t = self.bump();
-                Ok((name, t.span))
-            }
+        match self.peek_kind() {
+            TokenKind::Ident(_) => Ok(self.bump_ident()),
             other => Err(self.error(format!("expected identifier, found {}", other.describe()))),
         }
     }
@@ -276,15 +292,18 @@ impl Parser {
     /// A statement without its trailing `;`: assignment, write, increment or
     /// bare expression. Used directly by `for(...)` headers.
     fn simple_stmt(&mut self) -> Result<Stmt> {
-        if let TokenKind::Ident(name) = self.peek_kind().clone() {
-            match self.peek2_kind().clone() {
+        if matches!(self.peek_kind(), TokenKind::Ident(_)) {
+            // `p.write(e)` is a statement; `p.read()` stays inside an
+            // expression statement.
+            let write = matches!(self.peek3_kind(), TokenKind::Ident(m) if m == "write");
+            match self.peek2_kind() {
                 TokenKind::Assign
                 | TokenKind::PlusAssign
                 | TokenKind::MinusAssign
                 | TokenKind::StarAssign
                 | TokenKind::SlashAssign => {
                     let id = self.fresh_id();
-                    let start = self.bump().span; // ident
+                    let (name, start) = self.bump_ident();
                     let op = match self.bump().kind {
                         TokenKind::Assign => AssignOp::Assign,
                         TokenKind::PlusAssign => AssignOp::AddAssign,
@@ -307,7 +326,7 @@ impl Parser {
                 }
                 TokenKind::PlusPlus | TokenKind::MinusMinus => {
                     let id = self.fresh_id();
-                    let start = self.bump().span; // ident
+                    let (name, start) = self.bump_ident();
                     let op_tok = self.bump();
                     let op = if op_tok.kind == TokenKind::PlusPlus {
                         AssignOp::AddAssign
@@ -325,25 +344,19 @@ impl Parser {
                         span,
                     });
                 }
-                TokenKind::Dot => {
-                    // Could be `p.write(e)` (a statement) or `p.read()`
-                    // inside an expression statement; peek the method name.
-                    if let TokenKind::Ident(method) = self.peek3_kind().clone() {
-                        if method == "write" {
-                            let id = self.fresh_id();
-                            let start = self.bump().span; // ident
-                            self.bump(); // dot
-                            self.bump(); // write
-                            self.expect(TokenKind::LParen)?;
-                            let value = self.expr()?;
-                            let end = self.expect(TokenKind::RParen)?.span;
-                            return Ok(Stmt {
-                                id,
-                                kind: StmtKind::Write { port: name, value },
-                                span: start.merge(end),
-                            });
-                        }
-                    }
+                TokenKind::Dot if write => {
+                    let id = self.fresh_id();
+                    let (name, start) = self.bump_ident();
+                    self.bump(); // dot
+                    self.bump(); // write
+                    self.expect(TokenKind::LParen)?;
+                    let value = self.expr()?;
+                    let end = self.expect(TokenKind::RParen)?.span;
+                    return Ok(Stmt {
+                        id,
+                        kind: StmtKind::Write { port: name, value },
+                        span: start.merge(end),
+                    });
                 }
                 _ => {}
             }
@@ -600,36 +613,27 @@ impl Parser {
     }
 
     fn primary_expr(&mut self) -> Result<Expr> {
-        match self.peek_kind().clone() {
-            TokenKind::IntLit(v) => {
-                let t = self.bump();
-                Ok(Expr::new(ExprKind::IntLit(v), t.span))
-            }
-            TokenKind::FloatLit(v) => {
-                let t = self.bump();
-                Ok(Expr::new(ExprKind::FloatLit(v), t.span))
-            }
-            TokenKind::BoolLit(v) => {
-                let t = self.bump();
-                Ok(Expr::new(ExprKind::BoolLit(v), t.span))
-            }
+        match self.peek_kind() {
+            &TokenKind::IntLit(v) => Ok(Expr::new(ExprKind::IntLit(v), self.bump().span)),
+            &TokenKind::FloatLit(v) => Ok(Expr::new(ExprKind::FloatLit(v), self.bump().span)),
+            &TokenKind::BoolLit(v) => Ok(Expr::new(ExprKind::BoolLit(v), self.bump().span)),
             TokenKind::LParen => {
                 let open = self.bump().span;
                 let inner = self.expr()?;
                 let close = self.expect(TokenKind::RParen)?.span;
                 Ok(Expr::new(inner.kind, open.merge(close)))
             }
-            TokenKind::Ident(name) => {
-                let t = self.bump();
+            TokenKind::Ident(_) => {
+                let (name, start) = self.bump_ident();
                 if self.peek_kind() == &TokenKind::LParen {
                     let args = self.call_args()?;
-                    let span = t.span.merge(self.tokens[self.pos - 1].span);
+                    let span = start.merge(self.tokens[self.pos - 1].span);
                     Ok(Expr::new(ExprKind::Call { callee: name, args }, span))
                 } else if self.peek_kind() == &TokenKind::Dot {
                     self.bump();
                     let (method, _) = self.expect_ident()?;
                     let args = self.call_args()?;
-                    let span = t.span.merge(self.tokens[self.pos - 1].span);
+                    let span = start.merge(self.tokens[self.pos - 1].span);
                     Ok(Expr::new(
                         ExprKind::MethodCall {
                             receiver: name,
@@ -639,7 +643,7 @@ impl Parser {
                         span,
                     ))
                 } else {
-                    Ok(Expr::new(ExprKind::Var(name), t.span))
+                    Ok(Expr::new(ExprKind::Var(name), start))
                 }
             }
             other => Err(self.error(format!("expected expression, found {}", other.describe()))),

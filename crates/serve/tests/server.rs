@@ -199,7 +199,11 @@ fn strategy_field_is_an_ignored_no_op() {
 }
 
 /// Satellite: N concurrent clients get byte-identical Table I/II bodies
-/// to a sequential client, warm cache and cold, at 1 and 4 threads.
+/// to a sequential client, warm cache and cold, with requests asking for
+/// 1 and 4 threads. After the first cold build every model comes from the
+/// process-wide model cache, so no request here runs the parallel static
+/// fan-out (dft-core's `fresh_cache_builds_agree_across_thread_counts`
+/// covers that).
 #[test]
 fn concurrent_responses_equal_sequential_warm_and_cold() {
     let handle = start(test_config()).unwrap();

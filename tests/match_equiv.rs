@@ -240,8 +240,11 @@ fn chain_testcases(length: usize) -> Vec<TestcaseSpec> {
         .collect()
 }
 
-/// Sessions render identical reports whether their static stage ran on 1
-/// or 4 workers.
+/// Sessions configured for 1 and 4 workers render identical reports.
+/// Only the first build of each chain runs the static stage; the second
+/// splices every model from the process-wide model cache, so this compares
+/// the session paths, not the parallel fan-out (dft-core's
+/// `fresh_cache_builds_agree_across_thread_counts` does that).
 #[test]
 fn session_reports_identical_across_thread_counts() {
     for length in [2usize, 5] {

@@ -140,9 +140,11 @@ proptest! {
         }
     }
 
-    /// The worker count never touches the verdicts: sessions at 1 and 4
-    /// threads produce byte-identical verdict CSVs on the PID loop,
-    /// nominal or fault-injected.
+    /// Sessions configured for 1 and 4 threads produce byte-identical
+    /// verdict CSVs on the PID loop, nominal or fault-injected. The PID
+    /// design's models come from the process-wide model cache after its
+    /// first analysis, so the thread count here sizes no static fan-out;
+    /// verdicts come from the sequential simulation either way.
     #[test]
     fn verdicts_identical_across_threads_and_strategies(
         level in 2.0f64..18.0,

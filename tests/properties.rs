@@ -37,6 +37,24 @@ fn arb_body(depth: u32) -> BoxedStrategy<String> {
         .boxed()
 }
 
+/// Words of the minic grammar, so generated input gets past the lexer
+/// and into the parser.
+const MINIC_WORDS: &str = "void M :: processing ( ) { } ; = += ++ -- x ip_in op_out . write \
+                           read , 1 2.5 true double int bool if else while for return break \
+                           continue + - * / % ! && || == != < >=";
+
+/// Printable ASCII: either arbitrary characters, or grammar words and
+/// line breaks in any order, half the time after a function head.
+fn arb_printable_source() -> impl Strategy<Value = String> {
+    let words: Vec<&str> = MINIC_WORDS.split_whitespace().chain(["\n"]).collect();
+    let word = (0..words.len()).prop_map(move |i| words[i]);
+    let soup = (any::<bool>(), prop::collection::vec(word, 0..60)).prop_map(|(head, words)| {
+        let head = if head { "void M::processing() { " } else { "" };
+        format!("{head}{}", words.join(" "))
+    });
+    prop_oneof!["[ -~\n]{0,200}", soup]
+}
+
 fn arb_program() -> impl Strategy<Value = String> {
     arb_body(2).prop_map(|body| {
         format!("void M::processing()\n{{\na = 1;\nb = 2;\nc = 3;\nd = 4;\n{body}\n}}")
@@ -60,6 +78,26 @@ proptest! {
     #[test]
     fn lexer_total_on_ascii(src in "[ -~\n]{0,200}") {
         let _ = minic::lex(&src); // Ok or Err, never panic
+    }
+
+    /// The parser never panics on arbitrary printable input: `parse`
+    /// returns `Ok`, or an error located inside the input (at most one
+    /// column past the end of its line).
+    #[test]
+    fn parse_total_on_ascii(src in arb_printable_source()) {
+        if let Err(e) = minic::parse(&src) {
+            let loc = e.loc();
+            let lines: Vec<&str> = src.split('\n').collect();
+            prop_assert!(
+                loc.line >= 1 && loc.line as usize <= lines.len(),
+                "{e} lies outside {} lines", lines.len()
+            );
+            let width = lines[loc.line as usize - 1].len() as u32;
+            prop_assert!(
+                loc.col >= 1 && loc.col <= width + 1,
+                "{e} lies outside a {width}-column line"
+            );
+        }
     }
 
     /// Every def-use pair found by reaching definitions has at least one
