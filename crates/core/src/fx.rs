@@ -30,12 +30,28 @@ impl Hasher for FxHasher {
         self.hash
     }
 
+    /// Mixes whole 8-byte words, then the 4-, 2- and 1-byte tail, each
+    /// with one fixed-size load (`str` keys also write a terminator, so
+    /// their lengths stay apart).
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(buf));
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(
+                word.try_into().expect("an 8-byte chunk"),
+            ));
+        }
+        let mut tail = words.remainder();
+        if let Some((head, rest)) = tail.split_first_chunk::<4>() {
+            self.add(u64::from(u32::from_le_bytes(*head)));
+            tail = rest;
+        }
+        if let Some((head, rest)) = tail.split_first_chunk::<2>() {
+            self.add(u64::from(u16::from_le_bytes(*head)));
+            tail = rest;
+        }
+        if let Some(&byte) = tail.first() {
+            self.add(u64::from(byte));
         }
     }
 
@@ -83,6 +99,31 @@ mod tests {
         for i in 0..1000u32 {
             assert_eq!(m.get(&(i, i.wrapping_mul(7), i % 13)), Some(&i));
         }
+    }
+
+    #[test]
+    fn strings_hash_by_content_and_length() {
+        use std::hash::BuildHasher;
+        let build = FxBuildHasher::default();
+        let hash = |k: &str| build.hash_one(k);
+        let long = "ip_signal_in_and_a_tail";
+        let copy = String::from(long);
+        assert_eq!(hash(long), hash(&copy), "equal strings in other memory");
+        // Each tail length (word, 4-, 2- and 1-byte pieces) and each byte
+        // position in it.
+        for len in 0..=long.len() {
+            let a = &long[..len];
+            for i in 0..len {
+                let mut b = a.as_bytes().to_vec();
+                b[i] ^= 1;
+                let b = String::from_utf8(b).unwrap();
+                assert_ne!(hash(a), hash(&b), "{a:?} vs {b:?}");
+            }
+            if len > 0 {
+                assert_ne!(hash(a), hash(&long[..len - 1]), "{a:?} vs its prefix");
+            }
+        }
+        assert_ne!(hash("ab"), hash("ab\0"));
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! indexed by the design-wide interned ids ([`Sym`](tdf_sim::Sym)):
 //!
 //! * `model_row` maps a model symbol to a compact row id; per-row tables
-//!   hold the start line, the lenient-mode vocabulary, and the set of input
-//!   ports (the only [`VarKind`](tdf_interp::VarKind) distinction matching
-//!   cares about);
+//!   hold the start line, and per-slot flags (one slot per row and name)
+//!   the lenient-mode vocabulary and the input ports (the only
+//!   [`VarKind`](tdf_interp::VarKind) distinction matching cares about);
 //! * `assoc_first` maps a fully-interned association key straight to its
 //!   index in [`StaticAnalysis::associations`], so coverage is a bitset OR
 //!   instead of a `HashSet<Association>` probe. Every association is
@@ -18,15 +18,29 @@
 //! `processing()` CFG the static stage's per-model artifact already holds;
 //! only [`MatchAutomaton::new`] builds the CFGs itself.
 //!
-//! Per-event work is then two array lookups plus integer-keyed set
-//! operations; `String`s are only materialised on the *first* occurrence of
-//! a site (warnings, `defs_executed`, `exercised`). `tests/match_equiv.rs`
-//! checks the results against a string-keyed reference matcher that
-//! re-derives every table per call.
-//!
 //! The automaton is immutable after construction ([`Sync`]), so one
 //! instance is shared read-only by every session over the same artifacts;
-//! per-run mutable state lives in a [`MatchCursor`].
+//! per-run mutable state lives in a [`MatchCursor`], which is itself the
+//! simulator's [`EventSink`]: the kernel hands it each event through one
+//! dynamic call.
+//!
+//! The cursor keeps the first-occurrence record of every def site and
+//! def/use pair in hash sets, and `String`s are only materialised on a
+//! site's *first* occurrence (warnings, `defs_executed`, `exercised`). An
+//! event it has already matched costs array lookups only:
+//!
+//! * the lenient-mode checks read one flag byte per `(row, var)` slot and
+//!   one timestamp per row;
+//! * the pending def of each slot sits in a dense table, and provenance
+//!   triples in a table indexed by [`ProvId`], each resolved once;
+//! * small direct-mapped memos hold the def sites and pairs the sets
+//!   already record, keyed by slot and line (a pair's use line, since one
+//!   slot's uses sit on several lines).
+//!
+//! A memo only ever names what its set holds, and a miss falls through to
+//! the set, so results are those of the sets alone. `tests/match_equiv.rs`
+//! checks them against a string-keyed reference matcher that re-derives
+//! every table per call.
 //!
 //! Symbols interned *after* construction (fault-injected ghost names) are
 //! `>= frozen` and deliberately fall off every dense table: they are
@@ -42,7 +56,7 @@ use std::sync::Arc;
 use dataflow::{BitSet, Cfg};
 use minic::Function;
 use tdf_interp::Interface;
-use tdf_sim::{CompactEvent, EventKind, Interner, ProvId, Sym};
+use tdf_sim::{CompactEvent, Event, EventKind, EventSink, Interner, ProvId, SimTime, Sym};
 
 use crate::assoc::Association;
 use crate::design::Design;
@@ -62,6 +76,19 @@ const NO_DEF: u32 = u32::MAX;
 
 /// Sentinel ending an `assoc_next` chain.
 const NO_INDEX: u32 = u32::MAX;
+
+/// Slot flag: lenient mode admits the variable in the row's model — it is
+/// in the model's vocabulary, or the model has none.
+const ADMIT: u8 = 1;
+
+/// Slot flag: the variable is one of the row model's input ports.
+const INPORT: u8 = 2;
+
+/// Sentinel for an empty [`Memo`] entry.
+const NO_SLOT: u32 = u32::MAX;
+
+/// log2 of each [`Memo`]'s entry count.
+const MEMO_BITS: u32 = 10;
 
 /// Precomputed matching tables for one design + static analysis (see the
 /// module docs). Built once per set of
@@ -85,10 +112,8 @@ pub struct MatchAutomaton {
     /// Whether the row's model has a declared interface (and therefore a
     /// lenient-mode vocabulary entry).
     row_has_vocab: Vec<bool>,
-    /// Per-row vocabulary as a bitset over name symbols (< frozen).
-    row_vocab: Vec<BitSet>,
-    /// Per-row input-port names as a bitset over name symbols.
-    row_inport: Vec<BitSet>,
+    /// Dense `row * frozen + var_sym -> ADMIT | INPORT` flags.
+    slot_flags: Vec<u8>,
     /// `(row, var_sym, start_line)` seeds for elaboration-initialised
     /// members, in declaration order (later duplicates overwrite).
     member_seeds: Vec<(u32, u32, u32)>,
@@ -104,8 +129,12 @@ pub struct MatchAutomaton {
 impl fmt::Debug for MatchAutomaton {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = |sym: u32| self.interner.resolve(Sym(sym));
-        let names = |set: &BitSet| {
-            let mut v: Vec<Arc<str>> = set.iter().map(|i| name(i as u32)).collect();
+        let names = |r: usize, flag: u8| {
+            let row = &self.slot_flags[r * self.frozen..(r + 1) * self.frozen];
+            let mut v: Vec<Arc<str>> = (0..self.frozen as u32)
+                .filter(|&var| row[var as usize] & flag != 0)
+                .map(name)
+                .collect();
             v.sort();
             v
         };
@@ -121,8 +150,8 @@ impl fmt::Debug for MatchAutomaton {
         // (model, start line, vocabulary if declared, in-ports) per row.
         let mut rows: Vec<_> = (0..self.n_rows)
             .map(|r| {
-                let vocab = self.row_has_vocab[r].then(|| names(&self.row_vocab[r]));
-                let inports = names(&self.row_inport[r]);
+                let vocab = self.row_has_vocab[r].then(|| names(r, ADMIT));
+                let inports = names(r, INPORT);
                 (row_model[r].clone(), self.row_start_line[r], vocab, inports)
             })
             .collect();
@@ -162,8 +191,9 @@ struct LogState {
     /// Overflow last-def entries: unknown models (strict mode) and ghost
     /// variable symbols `>= frozen`.
     last_def_extra: FxHashMap<(u32, u32), u32>,
-    /// Per-row latest observed timestamp (lenient mode).
-    last_time: Vec<Option<tdf_sim::SimTime>>,
+    /// Per-row latest observed timestamp (lenient mode; `ZERO` before
+    /// the first, which no time precedes).
+    last_time: Vec<SimTime>,
     /// Once-per-site warning gates.
     warned: FxHashSet<(u32, u32, u32)>,
     warned_models: FxHashSet<u32>,
@@ -172,8 +202,58 @@ struct LogState {
     /// First-occurrence gates for the materialised outputs.
     seen_def: FxHashSet<(u32, u32, u32)>,
     seen_pair: FxHashSet<AssocKey>,
-    /// Provenance ids resolved once per log.
-    prov_cache: FxHashMap<u32, (Sym, u32, Sym)>,
+    /// `[slot, line]` of def sites in `seen_def`.
+    def_memo: Memo<2>,
+    /// `[slot, use line, def line]` of pairs within one model in
+    /// `seen_pair`.
+    local_memo: Memo<3>,
+    /// `[slot, use line, provenance id]` of fed pairs in `seen_pair`
+    /// (their def sites are in `seen_def` too).
+    fed_memo: Memo<3>,
+    /// Provenance ids resolved once per log, indexed by id; sized from
+    /// the interner, `None` until an id is first seen.
+    provs: Vec<Option<Fed>>,
+}
+
+/// A direct-mapped memo of keys a hash set already holds, each led by a
+/// dense slot id: one entry per bucket, so a newer key evicts an older
+/// one, and a miss only means "ask the set". `NO_SLOT` marks an empty
+/// entry.
+#[derive(Debug)]
+struct Memo<const N: usize>(Vec<[u32; N]>);
+
+impl<const N: usize> Memo<N> {
+    fn new() -> Self {
+        Memo(vec![[NO_SLOT; N]; 1 << MEMO_BITS])
+    }
+
+    /// Whether `key` is memoized. If not, it is memoized now, and the
+    /// caller records it in the set.
+    #[inline]
+    fn hit(&mut self, key: [u32; N]) -> bool {
+        // Fibonacci hashing: the product's top bits mix every key bit.
+        let h = key
+            .iter()
+            .enumerate()
+            .fold(0u64, |h, (i, &k)| h ^ (u64::from(k) << (21 * i)));
+        let entry =
+            &mut self.0[(h.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - MEMO_BITS)) as usize];
+        if *entry == key {
+            return true;
+        }
+        *entry = key;
+        false
+    }
+}
+
+/// One resolved provenance id.
+#[derive(Debug, Clone, Copy)]
+struct Fed {
+    /// The `(var, line, model)` def site it names.
+    site: (Sym, u32, Sym),
+    /// Whether the model is a known one (lenient mode quarantines uses
+    /// fed from unknown ones).
+    known: bool,
 }
 
 impl MatchAutomaton {
@@ -332,15 +412,17 @@ impl MatchAutomaton {
 
         let mut row_start_line = vec![0u32; n_rows];
         let mut row_has_vocab = vec![false; n_rows];
-        let mut row_vocab: Vec<BitSet> = (0..n_rows).map(|_| BitSet::new(frozen)).collect();
-        let mut row_inport: Vec<BitSet> = (0..n_rows).map(|_| BitSet::new(frozen)).collect();
+        // Each row's flags are indexed by name symbol; every name they
+        // mention was interned before the freeze.
+        let mut slot_flags = vec![0u8; n_rows * frozen];
         for (r, &name) in row_names.iter().enumerate() {
             row_start_line[r] = start_line(name);
             // Every input of the model's *first* interface resolves as an
             // in-port there, exactly like `Design::kind_of`.
             if let Some(iface) = interfaces.get(name) {
+                let row = &mut slot_flags[r * frozen..(r + 1) * frozen];
                 for p in &iface.inputs {
-                    row_inport[r].insert(sym(&p.name).0 as usize);
+                    row[sym(&p.name).0 as usize] |= INPORT;
                 }
             }
         }
@@ -348,16 +430,24 @@ impl MatchAutomaton {
         // vocabulary overwrites the earlier one's.
         let mut member_seeds = Vec::new();
         for (def, (model, all, members)) in design.models().iter().zip(&def_syms) {
-            let r = model_row[model.0 as usize];
-            let row = &mut row_vocab[r as usize];
-            row.clear();
-            row_has_vocab[r as usize] = true;
+            let r = model_row[model.0 as usize] as usize;
+            let row = &mut slot_flags[r * frozen..(r + 1) * frozen];
+            for flags in row.iter_mut() {
+                *flags &= !ADMIT;
+            }
+            row_has_vocab[r] = true;
             for &sym in &vocab[all.clone()] {
-                row.insert(sym as usize);
+                row[sym as usize] |= ADMIT;
             }
             let line = start_line(&def.model);
             for &sym in &vocab[members.clone()] {
-                member_seeds.push((r, sym, line));
+                member_seeds.push((r as u32, sym, line));
+            }
+        }
+        // A model without a vocabulary admits every variable.
+        for (r, _) in row_has_vocab.iter().enumerate().filter(|(_, has)| !**has) {
+            for flags in &mut slot_flags[r * frozen..(r + 1) * frozen] {
+                *flags |= ADMIT;
             }
         }
 
@@ -381,8 +471,7 @@ impl MatchAutomaton {
             n_rows,
             row_start_line,
             row_has_vocab,
-            row_vocab,
-            row_inport,
+            slot_flags,
             member_seeds,
             assoc_first,
             assoc_next,
@@ -413,46 +502,24 @@ impl MatchAutomaton {
         None
     }
 
+    /// Whether lenient mode admits a variable of row `r` whose dense slot
+    /// is `slot` (`None`: a name interned after the freeze, in no
+    /// vocabulary).
+    #[inline]
+    fn admits(&self, r: usize, slot: Option<usize>) -> bool {
+        slot.map_or(!self.row_has_vocab[r], |s| self.slot_flags[s] & ADMIT != 0)
+    }
+
+    /// Whether the variable of dense slot `slot` is an input port of its
+    /// row's model.
+    #[inline]
+    fn is_inport(&self, slot: Option<usize>) -> bool {
+        slot.is_some_and(|s| self.slot_flags[s] & INPORT != 0)
+    }
+
     #[inline]
     fn name(&self, sym: Sym) -> String {
         self.interner.resolve(sym).to_string()
-    }
-
-    fn prov_of(&self, id: ProvId, cache: &mut FxHashMap<u32, (Sym, u32, Sym)>) -> (Sym, u32, Sym) {
-        *cache.entry(id.0).or_insert_with(|| {
-            self.interner
-                .prov(id)
-                .expect("provenance id from a foreign interner")
-        })
-    }
-
-    /// Records the def site `(var, def_line, def_model)` paired with the
-    /// use site `(use_line, use_model)`: sets its coverage bit(s) and
-    /// materialises the [`Association`] on first occurrence.
-    fn exercise(
-        &self,
-        (var, def_line, def_model): (Sym, u32, Sym),
-        (use_line, use_model): (u32, Sym),
-        state: &mut LogState,
-        exercised: &mut HashSet<Association>,
-        bits: &mut BitSet,
-    ) {
-        let key = (var.0, def_line, def_model.0, use_line, use_model.0);
-        if !state.seen_pair.insert(key) {
-            return;
-        }
-        let mut i = self.assoc_first.get(&key).copied().unwrap_or(NO_INDEX);
-        while i != NO_INDEX {
-            bits.insert(i as usize);
-            i = self.assoc_next[i as usize];
-        }
-        exercised.insert(Association::new(
-            self.name(var),
-            def_line,
-            self.name(def_model),
-            use_line,
-            self.name(use_model),
-        ));
     }
 
     /// Matches a compact event log into exercised associations and
@@ -469,17 +536,22 @@ impl MatchAutomaton {
     /// simulate-and-match pipeline, holding only O(automaton state).
     pub fn cursor(&self, mode: MatchMode) -> MatchCursor<'_> {
         let frozen = self.frozen;
+        let n_slots = self.n_rows * frozen;
+        assert!(n_slots < NO_SLOT as usize, "slot ids fit a memo key");
         let mut st = LogState {
-            last_def: vec![NO_DEF; self.n_rows * frozen],
+            last_def: vec![NO_DEF; n_slots],
             last_def_extra: FxHashMap::default(),
-            last_time: vec![None; self.n_rows],
+            last_time: vec![SimTime::ZERO; self.n_rows],
             warned: FxHashSet::default(),
             warned_models: FxHashSet::default(),
             warned_times: FxHashSet::default(),
             warned_vars: FxHashSet::default(),
             seen_def: FxHashSet::default(),
             seen_pair: FxHashSet::default(),
-            prov_cache: FxHashMap::default(),
+            def_memo: Memo::new(),
+            local_memo: Memo::new(),
+            fed_memo: Memo::new(),
+            provs: vec![None; self.interner.prov_len()],
         };
         for &(row, var, line) in &self.member_seeds {
             st.last_def[row as usize * frozen + var as usize] = line;
@@ -494,6 +566,7 @@ impl MatchAutomaton {
             warnings: Vec::new(),
             quarantined: 0,
             events: 0,
+            streamed: 0,
         }
     }
 
@@ -521,9 +594,9 @@ impl MatchAutomaton {
 
 /// Incremental matching state over one event stream: the per-run mutable
 /// half of [`MatchAutomaton::analyse_with_coverage`], split out so the
-/// simulator can feed events as it produces them (via
-/// [`tdf_sim::MatchingSink`]) with no materialized log. Memory is
-/// O(automaton state) — last-def tables, once-sets and the coverage
+/// simulator can feed events as it produces them (the cursor is an
+/// [`EventSink`]) with no materialized log. Memory is O(automaton state)
+/// — the last-def table, fixed-size memos, the once-sets and the coverage
 /// bitset — independent of how many events are fed.
 #[derive(Debug)]
 pub struct MatchCursor<'a> {
@@ -536,6 +609,8 @@ pub struct MatchCursor<'a> {
     warnings: Vec<DynamicWarning>,
     quarantined: u64,
     events: u64,
+    /// Events that arrived through the [`EventSink`] impl.
+    streamed: u64,
 }
 
 impl MatchCursor<'_> {
@@ -551,141 +626,77 @@ impl MatchCursor<'_> {
 
     /// Consumes one event, updating the incremental state exactly as the
     /// corresponding iteration of the whole-log loop would.
+    #[inline]
     pub fn feed(&mut self, ev: &CompactEvent) {
         self.events += 1;
         let automaton = self.automaton;
-        let frozen = automaton.frozen;
+        let row = automaton.row_of(ev.model);
+        let slot = LogState::slot(row, automaton.frozen, ev.var);
+        let fed = (ev.kind == EventKind::Use && !ev.prov.is_none())
+            .then(|| self.st.fed(automaton, ev.prov));
+        if self.mode == MatchMode::Lenient {
+            match row {
+                Some(r)
+                    if ev.time >= self.st.last_time[r]
+                        && automaton.admits(r, slot)
+                        && fed.is_none_or(|f| f.known) =>
+                {
+                    self.st.last_time[r] = ev.time;
+                }
+                _ => return self.quarantine(ev, row, slot, fed),
+            }
+        }
         let st = &mut self.st;
-        {
-            let row = automaton.row_of(ev.model);
-            if self.mode == MatchMode::Lenient {
-                // `Some(w)` quarantines the event; the inner option is the
-                // warning to record (None once a site already warned).
-                let quarantine_reason: Option<Option<DynamicWarning>> = match row {
-                    None => Some(st.warned_models.insert(ev.model.0).then(|| {
-                        DynamicWarning::UnknownModel {
-                            model: automaton.name(ev.model),
-                            time: ev.time,
-                        }
-                    })),
-                    Some(r) => {
-                        if let Some(last) = st.last_time[r].filter(|&last| ev.time < last) {
-                            Some(st.warned_times.insert(ev.model.0).then(|| {
-                                DynamicWarning::NonMonotoneTimestamp {
-                                    model: automaton.name(ev.model),
-                                    time: ev.time,
-                                    last,
-                                }
-                            }))
-                        } else if automaton.row_has_vocab[r]
-                            && !automaton.row_vocab[r].contains(ev.var.0 as usize)
-                        {
-                            Some(st.warned_vars.insert((ev.model.0, ev.var.0)).then(|| {
-                                DynamicWarning::UnknownVariable {
-                                    model: automaton.name(ev.model),
-                                    var: automaton.name(ev.var),
-                                    time: ev.time,
-                                }
-                            }))
-                        } else if ev.kind == EventKind::Use && !ev.prov.is_none() {
-                            // Provenance must also name a real model, else
-                            // the pair it would exercise is fabricated.
-                            let (_, _, pm) = automaton.prov_of(ev.prov, &mut st.prov_cache);
-                            automaton.row_of(pm).is_none().then(|| {
-                                st.warned_models.insert(pm.0).then(|| {
-                                    DynamicWarning::UnknownModel {
-                                        model: automaton.name(pm),
-                                        time: ev.time,
-                                    }
-                                })
-                            })
-                        } else {
-                            None
-                        }
-                    }
-                };
-                if let Some(warning) = quarantine_reason {
-                    self.quarantined += 1;
-                    if let Some(w) = warning {
-                        self.warnings.push(w);
-                    }
-                    // Poison the pending definition: a quarantined def must
-                    // not let later uses pair with a stale older one.
-                    if ev.kind == EventKind::Def {
-                        st.remove_last_def(row, frozen, ev.model, ev.var);
-                    }
+        match (ev.kind, fed) {
+            (EventKind::Def, _) => {
+                st.set_last_def(slot, ev.model, ev.var, ev.line);
+                let seen = slot.is_some_and(|s| st.def_memo.hit([s as u32, ev.line]));
+                if !seen && st.seen_def.insert((ev.model.0, ev.var.0, ev.line)) {
+                    self.defs_executed.insert((
+                        automaton.name(ev.model),
+                        automaton.name(ev.var),
+                        ev.line,
+                    ));
+                }
+            }
+            (EventKind::Use, Some(fed)) => {
+                if slot.is_some_and(|s| st.fed_memo.hit([s as u32, ev.line, ev.prov.0])) {
                     return;
                 }
-                st.last_time[row.expect("known model passed validation")] = Some(ev.time);
-            }
-            match ev.kind {
-                EventKind::Def => {
-                    st.set_last_def(row, frozen, ev.model, ev.var, ev.line);
-                    if st.seen_def.insert((ev.model.0, ev.var.0, ev.line)) {
-                        self.defs_executed.insert((
-                            automaton.name(ev.model),
-                            automaton.name(ev.var),
-                            ev.line,
-                        ));
-                    }
+                let (pv, pl, pm) = fed.site;
+                if st.seen_def.insert((pm.0, pv.0, pl)) {
+                    self.defs_executed
+                        .insert((automaton.name(pm), automaton.name(pv), pl));
                 }
-                EventKind::Use => {
-                    if !ev.prov.is_none() {
-                        let (pv, pl, pm) = automaton.prov_of(ev.prov, &mut st.prov_cache);
-                        if st.seen_def.insert((pm.0, pv.0, pl)) {
-                            self.defs_executed
-                                .insert((automaton.name(pm), automaton.name(pv), pl));
-                        }
-                        automaton.exercise(
-                            (pv, pl, pm),
-                            (ev.line, ev.model),
-                            st,
-                            &mut self.exercised,
-                            &mut self.bits,
-                        );
-                        return;
+                self.exercise(fed.site, (ev.line, ev.model));
+            }
+            (EventKind::Use, None) => {
+                if automaton.is_inport(slot) {
+                    let r = row.expect("inport implies a row");
+                    if ev.defined {
+                        let dline = automaton.row_start_line[r];
+                        self.exercise_local(slot, (ev.var, dline, ev.model), ev.line);
+                    } else if st.warned.insert((ev.model.0, ev.var.0, ev.line)) {
+                        self.warnings.push(DynamicWarning::UndefinedSampleRead {
+                            model: automaton.name(ev.model),
+                            var: automaton.name(ev.var),
+                            line: ev.line,
+                            time: ev.time,
+                        });
                     }
-                    let inport =
-                        row.is_some_and(|r| automaton.row_inport[r].contains(ev.var.0 as usize));
-                    if inport {
-                        let r = row.expect("inport implies a row");
-                        if ev.defined {
-                            let dline = automaton.row_start_line[r];
-                            automaton.exercise(
-                                (ev.var, dline, ev.model),
-                                (ev.line, ev.model),
-                                st,
-                                &mut self.exercised,
-                                &mut self.bits,
-                            );
-                        } else if st.warned.insert((ev.model.0, ev.var.0, ev.line)) {
-                            self.warnings.push(DynamicWarning::UndefinedSampleRead {
-                                model: automaton.name(ev.model),
-                                var: automaton.name(ev.var),
-                                line: ev.line,
-                                time: ev.time,
-                            });
+                } else {
+                    match st.get_last_def(slot, ev.model, ev.var) {
+                        Some(dline) => {
+                            self.exercise_local(slot, (ev.var, dline, ev.model), ev.line);
                         }
-                    } else {
-                        match st.get_last_def(row, frozen, ev.model, ev.var) {
-                            Some(dline) => {
-                                automaton.exercise(
-                                    (ev.var, dline, ev.model),
-                                    (ev.line, ev.model),
-                                    st,
-                                    &mut self.exercised,
-                                    &mut self.bits,
-                                );
-                            }
-                            None => {
-                                if st.warned.insert((ev.model.0, ev.var.0, ev.line)) {
-                                    self.warnings.push(DynamicWarning::UseWithoutDef {
-                                        model: automaton.name(ev.model),
-                                        var: automaton.name(ev.var),
-                                        line: ev.line,
-                                        time: ev.time,
-                                    });
-                                }
+                        None => {
+                            if st.warned.insert((ev.model.0, ev.var.0, ev.line)) {
+                                self.warnings.push(DynamicWarning::UseWithoutDef {
+                                    model: automaton.name(ev.model),
+                                    var: automaton.name(ev.var),
+                                    line: ev.line,
+                                    time: ev.time,
+                                });
                             }
                         }
                     }
@@ -694,15 +705,115 @@ impl MatchCursor<'_> {
         }
     }
 
+    /// Quarantines an event lenient mode rejects (of model row `row`,
+    /// dense slot `slot`, fed from `fed`), warning once per site about
+    /// the first check it failed. A rejected def poisons its variable's
+    /// pending definition: a quarantined def must not let later uses pair
+    /// with a stale older one.
+    #[cold]
+    fn quarantine(
+        &mut self,
+        ev: &CompactEvent,
+        row: Option<usize>,
+        slot: Option<usize>,
+        fed: Option<Fed>,
+    ) {
+        let automaton = self.automaton;
+        let st = &mut self.st;
+        // `None` once the site already warned.
+        let warning = match row {
+            None => st
+                .warned_models
+                .insert(ev.model.0)
+                .then(|| DynamicWarning::UnknownModel {
+                    model: automaton.name(ev.model),
+                    time: ev.time,
+                }),
+            Some(r) if ev.time < st.last_time[r] => {
+                st.warned_times
+                    .insert(ev.model.0)
+                    .then(|| DynamicWarning::NonMonotoneTimestamp {
+                        model: automaton.name(ev.model),
+                        time: ev.time,
+                        last: st.last_time[r],
+                    })
+            }
+            Some(r) if !automaton.admits(r, slot) => st
+                .warned_vars
+                .insert((ev.model.0, ev.var.0))
+                .then(|| DynamicWarning::UnknownVariable {
+                    model: automaton.name(ev.model),
+                    var: automaton.name(ev.var),
+                    time: ev.time,
+                }),
+            // Provenance must also name a real model, else the pair it
+            // would exercise is fabricated.
+            Some(_) => {
+                let pm = fed.expect("the last check is the feeding model").site.2;
+                st.warned_models
+                    .insert(pm.0)
+                    .then(|| DynamicWarning::UnknownModel {
+                        model: automaton.name(pm),
+                        time: ev.time,
+                    })
+            }
+        };
+        self.quarantined += 1;
+        if let Some(w) = warning {
+            self.warnings.push(w);
+        }
+        if ev.kind == EventKind::Def {
+            st.remove_last_def(slot, ev.model, ev.var);
+        }
+    }
+
+    /// [`Self::exercise`] for a pair within one model, unless the memo
+    /// already holds it.
+    #[inline]
+    fn exercise_local(&mut self, slot: Option<usize>, def: (Sym, u32, Sym), use_line: u32) {
+        if !slot.is_some_and(|s| self.st.local_memo.hit([s as u32, use_line, def.1])) {
+            self.exercise(def, (use_line, def.2));
+        }
+    }
+
+    /// Records the def site `(var, def_line, def_model)` paired with the
+    /// use site `(use_line, use_model)`: sets its coverage bit(s) and
+    /// materialises the [`Association`] on first occurrence.
+    fn exercise(
+        &mut self,
+        (var, def_line, def_model): (Sym, u32, Sym),
+        (use_line, use_model): (u32, Sym),
+    ) {
+        let key = (var.0, def_line, def_model.0, use_line, use_model.0);
+        if !self.st.seen_pair.insert(key) {
+            return;
+        }
+        let automaton = self.automaton;
+        let mut i = automaton.assoc_first.get(&key).copied().unwrap_or(NO_INDEX);
+        while i != NO_INDEX {
+            self.bits.insert(i as usize);
+            i = automaton.assoc_next[i as usize];
+        }
+        self.exercised.insert(Association::new(
+            automaton.name(var),
+            def_line,
+            automaton.name(def_model),
+            use_line,
+            automaton.name(use_model),
+        ));
+    }
+
     /// Finalizes the pass: records the aggregate `match.*` counters and
     /// returns the result plus coverage bitset — byte-identical to
     /// [`MatchAutomaton::analyse_with_coverage`] over the same event
     /// sequence.
     pub fn finish(self) -> (DynamicResult, BitSet) {
         static EVENTS_MATCHED: obs::Counter = obs::Counter::new("match.events");
+        static STREAMED: obs::Counter = obs::Counter::new("match.streamed_events");
         static ASSOC_EXERCISED: obs::Counter = obs::Counter::new("match.associations_exercised");
         static QUARANTINED: obs::Counter = obs::Counter::new("match.quarantined_events");
         EVENTS_MATCHED.add(self.events);
+        STREAMED.add(self.streamed);
         ASSOC_EXERCISED.add(self.exercised.len() as u64);
         QUARANTINED.add(self.quarantined);
         (
@@ -717,9 +828,24 @@ impl MatchCursor<'_> {
     }
 }
 
-impl tdf_sim::CompactConsumer for MatchCursor<'_> {
-    fn consume(&mut self, event: &CompactEvent) {
-        self.feed(event);
+/// The cursor as the simulator's sink: each event is matched the moment
+/// the kernel emits it. Compact events must carry ids from the
+/// automaton's interner; a legacy [`Event`] is interned on arrival
+/// (control-path only).
+impl EventSink for MatchCursor<'_> {
+    fn record(&mut self, event: Event) {
+        let compact = CompactEvent::from_event(&event, &self.automaton.interner);
+        self.streamed += 1;
+        self.feed(&compact);
+    }
+
+    fn record_compact(&mut self, event: CompactEvent, interner: &Interner) {
+        debug_assert!(
+            std::ptr::eq(&*self.automaton.interner, interner),
+            "compact events recorded against a foreign interner"
+        );
+        self.streamed += 1;
+        self.feed(&event);
     }
 }
 
@@ -734,9 +860,43 @@ impl LogState {
         }
     }
 
+    /// The provenance behind `id` (never the `NONE` sentinel), resolved
+    /// on its first sight.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not from the automaton's interner.
     #[inline]
-    fn get_last_def(&self, row: Option<usize>, frozen: usize, model: Sym, var: Sym) -> Option<u32> {
-        match Self::slot(row, frozen, var) {
+    fn fed(&mut self, automaton: &MatchAutomaton, id: ProvId) -> Fed {
+        match self.provs.get(id.0 as usize) {
+            Some(&Some(fed)) => fed,
+            _ => self.resolve(automaton, id),
+        }
+    }
+
+    #[cold]
+    fn resolve(&mut self, automaton: &MatchAutomaton, id: ProvId) -> Fed {
+        let site = automaton
+            .interner
+            .prov(id)
+            .expect("provenance id from a foreign interner");
+        let fed = Fed {
+            site,
+            known: automaton.row_of(site.2).is_some(),
+        };
+        let i = id.0 as usize;
+        if i >= self.provs.len() {
+            // The simulation interns provenance after the cursor was
+            // made; the interner, which now holds `id`, sizes the table.
+            self.provs.resize(automaton.interner.prov_len(), None);
+        }
+        self.provs[i] = Some(fed);
+        fed
+    }
+
+    #[inline]
+    fn get_last_def(&self, slot: Option<usize>, model: Sym, var: Sym) -> Option<u32> {
+        match slot {
             Some(s) => {
                 let line = self.last_def[s];
                 (line != NO_DEF).then_some(line)
@@ -746,8 +906,8 @@ impl LogState {
     }
 
     #[inline]
-    fn set_last_def(&mut self, row: Option<usize>, frozen: usize, model: Sym, var: Sym, line: u32) {
-        match Self::slot(row, frozen, var) {
+    fn set_last_def(&mut self, slot: Option<usize>, model: Sym, var: Sym, line: u32) {
+        match slot {
             Some(s) => self.last_def[s] = line,
             None => {
                 self.last_def_extra.insert((model.0, var.0), line);
@@ -756,8 +916,8 @@ impl LogState {
     }
 
     #[inline]
-    fn remove_last_def(&mut self, row: Option<usize>, frozen: usize, model: Sym, var: Sym) {
-        match Self::slot(row, frozen, var) {
+    fn remove_last_def(&mut self, slot: Option<usize>, model: Sym, var: Sym) {
+        match slot {
             Some(s) => self.last_def[s] = NO_DEF,
             None => {
                 self.last_def_extra.remove(&(model.0, var.0));
@@ -847,7 +1007,8 @@ mod tests {
         let automaton = MatchAutomaton::from_static_build(&d, &outcome.analysis, &outcome.build);
         assert!((only_x.0 as usize) < automaton.frozen);
         let x = automaton.row_of(d.interner().get("X").unwrap()).unwrap();
-        assert!(automaton.row_vocab[x].contains(only_x.0 as usize));
+        let only_x = LogState::slot(Some(x), automaton.frozen, only_x);
+        assert!(automaton.admits(x, only_x) && automaton.row_has_vocab[x]);
     }
 
     #[test]
@@ -862,7 +1023,26 @@ mod tests {
         let automaton = MatchAutomaton::from_static_build(&d, &outcome.analysis, &outcome.build);
         let m = automaton.row_of(d.interner().get("M").unwrap()).unwrap();
         let t = d.interner().get("t").unwrap();
-        assert!(automaton.row_vocab[m].contains(t.0 as usize));
+        let t = LogState::slot(Some(m), automaton.frozen, t);
+        assert!(automaton.admits(m, t) && automaton.row_has_vocab[m]);
+    }
+
+    #[test]
+    fn provenance_interned_after_the_cursor_is_resolved() {
+        let d = design();
+        let statics = crate::statics::analyse(&d);
+        let automaton = MatchAutomaton::new(&d, &statics);
+        let mut cursor = automaton.cursor(MatchMode::Lenient);
+        // A simulation interns its write sites' provenance as it runs,
+        // after the session made the cursor.
+        let use_fed = fed("M", "ip_x", 3, Provenance::new("op_y", 4, "M"));
+        let ev = CompactEvent::from_event(&use_fed, automaton.interner());
+        assert!(ev.prov.0 as usize >= cursor.st.provs.len());
+        cursor.feed(&ev);
+        cursor.feed(&ev);
+        let (result, _) = cursor.finish();
+        let pair = Association::new("op_y", 4, "M", 3, "M");
+        assert_eq!(result.exercised, [pair].into_iter().collect());
     }
 
     #[test]

@@ -2,13 +2,12 @@
 //! dynamic analysis per testcase, then coverage evaluation — with the
 //! uncovered-association work list driving the "tests addition" loop.
 //!
-//! The dynamic stage has one run path: a [`MatchCursor`] rides the
-//! simulation through a [`MatchingSink`](tdf_sim::MatchingSink), so events
-//! are matched as the kernel produces them and no per-testcase log is ever
-//! materialized — peak memory is O(automaton state), which is what unlocks
-//! long-/infinite-horizon runs. Every run is panic-isolated; a single
-//! [`DftSession::run_testcase`] re-raises what a batch records as a
-//! degraded [`RunOutcome`].
+//! The dynamic stage has one run path: a [`MatchCursor`] is the
+//! simulation's event sink, so events are matched as the kernel produces
+//! them and no per-testcase log is ever materialized — peak memory is
+//! O(automaton state), which is what unlocks long-/infinite-horizon runs.
+//! Every run is panic-isolated; a single [`DftSession::run_testcase`]
+//! re-raises what a batch records as a degraded [`RunOutcome`].
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
@@ -16,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use dft_monitor::{AssertionSpec, AssertionVerdict, MonitorBank, MonitorSink};
 use obs::MetricsReport;
-use tdf_sim::{Cluster, Interner, MatchingSink, RunLimits, SimTime, Simulator, TdfError};
+use tdf_sim::{Cluster, Interner, RunLimits, SimTime, Simulator, TdfError};
 
 use crate::coverage::{Coverage, RunOutcome, TestcaseResult};
 use crate::design::Design;
@@ -757,15 +756,14 @@ fn run_isolated(
     cluster.set_interner(Arc::clone(interner));
     let run = catch_unwind(AssertUnwindSafe(|| {
         let mut sim = Simulator::new(cluster)?;
-        let mut sink = MatchingSink::new(&mut *cursor, Arc::clone(interner));
         let _span = obs::span("stage.simulate");
         match monitor {
             Some(bank) => {
-                let mut monitored = MonitorSink::new(&mut sink, Arc::clone(bank));
+                let mut monitored = MonitorSink::new(&mut *cursor, Arc::clone(bank));
                 sim.run_with_limits(duration, &mut monitored, limits)?;
             }
             None => {
-                sim.run_with_limits(duration, &mut sink, limits)?;
+                sim.run_with_limits(duration, &mut *cursor, limits)?;
             }
         }
         Ok(())

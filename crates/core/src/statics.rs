@@ -527,8 +527,7 @@ pub fn analyse(design: &Design) -> StaticAnalysis {
 ///
 /// Every model is analysed from scratch: this is the reference the
 /// memoizing [`SessionArtifacts`](crate::SessionArtifacts) builds are
-/// checked against, so it never consults the process-wide
-/// [`ModelArtifactCache`].
+/// checked against, so it never consults the process-wide model cache.
 pub fn analyse_with_threads(design: &Design, threads: usize) -> StaticAnalysis {
     analyse_build(design, threads, None, None).analysis
 }

@@ -17,6 +17,8 @@
 //! * a supervisor (OCP-event counting, cooldown gating) and a telemetry
 //!   unit extend the design to the paper's multi-IP scale.
 
+use std::sync::OnceLock;
+
 use minic::TranslationUnit;
 use stimuli::{Signal, Testcase, Testsuite};
 use tdf_interp::{Interface, InterpModule, TdfModelDef};
@@ -226,7 +228,13 @@ pub struct BbProbes {
 ///
 /// Propagates parse/bind errors (none expected for the fixed source).
 pub fn build_bb_cluster(tc: &Testcase) -> Result<(Cluster, BbProbes)> {
-    bb_cluster_from(&minic::parse(BUCK_BOOST_SRC)?, tc)
+    bb_cluster_from(bb_tu()?, tc)
+}
+
+/// [`BUCK_BOOST_SRC`], parsed once per process.
+fn bb_tu() -> Result<&'static TranslationUnit> {
+    static TU: OnceLock<minic::Result<TranslationUnit>> = OnceLock::new();
+    crate::parse_once(&TU, BUCK_BOOST_SRC)
 }
 
 /// [`build_bb_cluster`] over an already parsed [`BUCK_BOOST_SRC`].
@@ -310,10 +318,10 @@ fn bb_cluster_from(tu: &TranslationUnit, tc: &Testcase) -> Result<(Cluster, BbPr
 ///
 /// Propagates parse errors (none expected for the fixed source).
 pub fn bb_design() -> Result<Design> {
-    let tu = minic::parse(BUCK_BOOST_SRC)?;
+    let tu = bb_tu()?;
     let dummy = Testcase::new("elab", SimTime::from_ms(1));
-    let (cluster, _) = bb_cluster_from(&tu, &dummy)?;
-    Design::new(tu, bb_model_defs(), cluster.netlist())
+    let (cluster, _) = bb_cluster_from(tu, &dummy)?;
+    Design::new(tu.clone(), bb_model_defs(), cluster.netlist())
 }
 
 fn tc(name: &str, dur_ms: u64, vin: Signal, vref: Signal) -> Testcase {

@@ -21,7 +21,23 @@
 
 #![warn(missing_docs)]
 
+use std::sync::OnceLock;
+
+use minic::TranslationUnit;
+
 pub mod buck_boost;
 pub mod pid;
 pub mod sensor;
 pub mod window_lifter;
+
+/// Parses a case study's constant `src` into `cell` on first use; every
+/// later call shares that parse (or its error), so a per-testcase cluster
+/// build does not parse again.
+fn parse_once(
+    cell: &'static OnceLock<minic::Result<TranslationUnit>>,
+    src: &str,
+) -> dft_core::Result<&'static TranslationUnit> {
+    cell.get_or_init(|| minic::parse(src))
+        .as_ref()
+        .map_err(|e| e.clone().into())
+}

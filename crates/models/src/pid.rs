@@ -10,6 +10,8 @@
 //! aggressive integrator) drives the plant past the overshoot bound and
 //! the monitor pins the first violation instant.
 
+use std::sync::OnceLock;
+
 use minic::TranslationUnit;
 use stimuli::{Signal, Testcase};
 use tdf_interp::{Interface, InterpModule, TdfModelDef};
@@ -137,7 +139,13 @@ pub struct PidProbes {
 ///
 /// Propagates parse/bind errors (none expected for the fixed source).
 pub fn build_pid_cluster(tc: &Testcase, tuning: PidTuning) -> Result<(Cluster, PidProbes)> {
-    pid_cluster_from(&minic::parse(PID_SRC)?, tc, tuning)
+    pid_cluster_from(pid_tu()?, tc, tuning)
+}
+
+/// [`PID_SRC`], parsed once per process.
+fn pid_tu() -> Result<&'static TranslationUnit> {
+    static TU: OnceLock<minic::Result<TranslationUnit>> = OnceLock::new();
+    crate::parse_once(&TU, PID_SRC)
 }
 
 /// [`build_pid_cluster`] over an already parsed [`PID_SRC`].
@@ -181,10 +189,14 @@ fn pid_cluster_from(
 ///
 /// Propagates parse errors (none expected for the fixed source).
 pub fn pid_design() -> Result<Design> {
-    let tu = minic::parse(PID_SRC)?;
+    let tu = pid_tu()?;
     let dummy = Testcase::new("elab", SimTime::from_ms(1));
-    let (cluster, _) = pid_cluster_from(&tu, &dummy, PidTuning::nominal())?;
-    Design::new(tu, pid_model_defs(PidTuning::nominal()), cluster.netlist())
+    let (cluster, _) = pid_cluster_from(tu, &dummy, PidTuning::nominal())?;
+    Design::new(
+        tu.clone(),
+        pid_model_defs(PidTuning::nominal()),
+        cluster.netlist(),
+    )
 }
 
 /// The loop's testcases: an immediate step to [`PID_TARGET`] and the

@@ -11,6 +11,8 @@
 //! TC2 uncovers ("the data flow associations related to lines between Line
 //! 49 and Line 52 were never exercised").
 
+use std::sync::OnceLock;
+
 use minic::TranslationUnit;
 use stimuli::{Signal, Testcase, Testsuite};
 use tdf_interp::{Interface, InterpModule, TdfModelDef};
@@ -209,7 +211,13 @@ pub struct SensorProbes {
 ///
 /// Propagates parse/bind errors (none expected for the fixed source).
 pub fn build_sensor_cluster(tc: &Testcase, adc_full_scale: f64) -> Result<(Cluster, SensorProbes)> {
-    sensor_cluster_from(&minic::parse(SENSOR_SRC)?, tc, adc_full_scale)
+    sensor_cluster_from(sensor_tu()?, tc, adc_full_scale)
+}
+
+/// [`SENSOR_SRC`], parsed once per process.
+fn sensor_tu() -> Result<&'static TranslationUnit> {
+    static TU: OnceLock<minic::Result<TranslationUnit>> = OnceLock::new();
+    crate::parse_once(&TU, SENSOR_SRC)
 }
 
 /// [`build_sensor_cluster`] over an already parsed [`SENSOR_SRC`].
@@ -287,10 +295,14 @@ fn sensor_cluster_from(
 ///
 /// Propagates parse errors (none expected for the fixed source).
 pub fn sensor_design(adc_full_scale: f64) -> Result<Design> {
-    let tu = minic::parse(SENSOR_SRC)?;
+    let tu = sensor_tu()?;
     let dummy = Testcase::new("elab", SimTime::from_us(1));
-    let (cluster, _) = sensor_cluster_from(&tu, &dummy, adc_full_scale)?;
-    Design::new(tu, sensor_model_defs(adc_full_scale), cluster.netlist())
+    let (cluster, _) = sensor_cluster_from(tu, &dummy, adc_full_scale)?;
+    Design::new(
+        tu.clone(),
+        sensor_model_defs(adc_full_scale),
+        cluster.netlist(),
+    )
 }
 
 /// The paper's three testcases (§IV-B.3):

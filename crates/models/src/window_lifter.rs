@@ -10,6 +10,8 @@
 //! the full filter→ADC chain (PWeak) — **no PFirm pairs exist**, matching
 //! "There were no PFirm def-use pairs identified" in Table II.
 
+use std::sync::OnceLock;
+
 use minic::TranslationUnit;
 use stimuli::{Signal, Testcase, Testsuite};
 use tdf_interp::{Interface, InterpModule, TdfModelDef};
@@ -298,7 +300,13 @@ pub struct LifterProbes {
 ///
 /// Propagates parse/bind errors (none expected for the fixed source).
 pub fn build_lifter_cluster(tc: &Testcase) -> Result<(Cluster, LifterProbes)> {
-    lifter_cluster_from(&minic::parse(WINDOW_LIFTER_SRC)?, tc)
+    lifter_cluster_from(lifter_tu()?, tc)
+}
+
+/// [`WINDOW_LIFTER_SRC`], parsed once per process.
+fn lifter_tu() -> Result<&'static TranslationUnit> {
+    static TU: OnceLock<minic::Result<TranslationUnit>> = OnceLock::new();
+    crate::parse_once(&TU, WINDOW_LIFTER_SRC)
 }
 
 /// [`build_lifter_cluster`] over an already parsed [`WINDOW_LIFTER_SRC`].
@@ -400,10 +408,10 @@ fn lifter_cluster_from(tu: &TranslationUnit, tc: &Testcase) -> Result<(Cluster, 
 ///
 /// Propagates parse errors (none expected for the fixed source).
 pub fn lifter_design() -> Result<Design> {
-    let tu = minic::parse(WINDOW_LIFTER_SRC)?;
+    let tu = lifter_tu()?;
     let dummy = Testcase::new("elab", SimTime::from_ms(1));
-    let (cluster, _) = lifter_cluster_from(&tu, &dummy)?;
-    Design::new(tu, lifter_model_defs(), cluster.netlist())
+    let (cluster, _) = lifter_cluster_from(tu, &dummy)?;
+    Design::new(tu.clone(), lifter_model_defs(), cluster.netlist())
 }
 
 fn press(channel: &str, from_ms: u64, to_ms: u64) -> (String, Signal) {

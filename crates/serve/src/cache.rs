@@ -12,9 +12,12 @@
 //! its insertion is evicted, or the least-recently-used entry when every
 //! one was hit. A lookup promotes its entry to most-recently-used and
 //! protects it; at most half the cache is protected, so protecting one
-//! more unprotects the least-recently-used protected entry. A hot design
-//! interleaved with one-off designs therefore stays resident however many
-//! distinct keys pass through between two of its hits.
+//! more unprotects the least-recently-used protected entry and moves it
+//! to most-recently-used, behind every other unprotected entry. A hot
+//! design interleaved with one-off designs therefore stays resident
+//! however many distinct keys pass through between two of its hits, and
+//! one that loses its protection to a burst of hits on rarer designs is
+//! evicted only after the unprotected entries older than it.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -97,14 +100,19 @@ impl ArtifactCache {
     /// Finds `key`, promotes it to most-recently-used (back of the
     /// eviction queue) and protects it, so constant hitters survive churn
     /// from one-off designs. Protecting a half-protected cache first
-    /// unprotects the least-recently-used protected entry.
+    /// unprotects the least-recently-used protected entry and moves it to
+    /// the back.
     fn lookup(&self, key: u64) -> Option<Arc<SessionArtifacts>> {
         let mut entries = self.entries.lock().unwrap_or_else(|p| p.into_inner());
         let pos = entries.iter().position(|e| e.key == key)?;
         let mut entry = entries.remove(pos).expect("position came from this deque");
         if !entry.protected && entries.iter().filter(|e| e.protected).count() >= self.capacity / 2 {
-            if let Some(oldest) = entries.iter_mut().find(|e| e.protected) {
-                oldest.protected = false;
+            if let Some(oldest) = entries.iter().position(|e| e.protected) {
+                let mut demoted = entries
+                    .remove(oldest)
+                    .expect("position came from this deque");
+                demoted.protected = false;
+                entries.push_back(demoted);
             }
         }
         entry.protected = true;
@@ -227,6 +235,28 @@ mod tests {
         assert!(warm, "key 1 stayed protected");
         let (_, warm) = cache.get_or_build(0, build_probe).unwrap();
         assert!(!warm, "key 0 lost its protection and was evicted");
+    }
+
+    #[test]
+    fn an_entry_that_loses_its_protection_outlives_older_one_offs() {
+        // Hits on rarer designs can take a hot design's protection while
+        // older one-offs sit ahead of it in the eviction queue; it must
+        // not be the next victim.
+        let cache = ArtifactCache::new(4);
+        let hot = |cache: &ArtifactCache| cache.get_or_build(100, build_probe).unwrap().1;
+        hot(&cache);
+        assert!(hot(&cache));
+        cache.get_or_build(1, build_probe).unwrap();
+        for key in [2u64, 3] {
+            cache.get_or_build(key, build_probe).unwrap();
+            cache.get_or_build(key, build_probe).unwrap();
+        }
+        // Protecting key 3 unprotected the hot design; key 4 evicts the
+        // older one-off, key 1.
+        cache.get_or_build(4, build_probe).unwrap();
+        assert!(hot(&cache), "the hot design was evicted before key 1");
+        let (_, warm) = cache.get_or_build(1, build_probe).unwrap();
+        assert!(!warm, "key 1 was the victim");
     }
 
     #[test]

@@ -73,8 +73,8 @@ pub use fault::{
 };
 pub use intern::{CompactEvent, EventKind, Interner, ProvId, Sym};
 pub use module::{
-    CompactConsumer, CompactRecordingSink, DefSite, Event, EventSink, MatchingSink, ModuleClass,
-    ModuleSpec, NullSink, PortSpec, ProcessingCtx, RecordingSink, TdfModule,
+    CompactRecordingSink, DefSite, Event, EventSink, ModuleClass, ModuleSpec, NullSink, PortSpec,
+    ProcessingCtx, RecordingSink, TdfModule,
 };
 pub use schedule::{compute_schedule, Schedule, MAX_TOTAL_FIRINGS};
 pub use sim::{RunLimits, SimStats, Simulator};

@@ -299,58 +299,6 @@ impl EventSink for CompactRecordingSink {
     }
 }
 
-/// An incremental consumer of [`CompactEvent`]s — the streaming analog of
-/// buffering a log and analysing it afterwards. Implemented by the match
-/// cursor in `dft-core`; defined here so [`MatchingSink`] can drive any
-/// consumer without this crate depending on the analysis layer.
-pub trait CompactConsumer {
-    /// Feeds one event, in execution order.
-    fn consume(&mut self, event: &CompactEvent);
-}
-
-/// An [`EventSink`] that forwards every event straight into a
-/// [`CompactConsumer`] as the simulation produces it — no materialized
-/// log, O(consumer state) peak memory. Legacy [`Event`]s arriving through
-/// [`EventSink::record`] are interned on the spot (control-path only,
-/// same contract as [`CompactRecordingSink`]).
-pub struct MatchingSink<'a> {
-    consumer: &'a mut dyn CompactConsumer,
-    interner: Arc<Interner>,
-}
-
-impl<'a> MatchingSink<'a> {
-    /// Creates a sink streaming into `consumer`; compact events must carry
-    /// ids from `interner`.
-    pub fn new(consumer: &'a mut dyn CompactConsumer, interner: Arc<Interner>) -> Self {
-        MatchingSink { consumer, interner }
-    }
-}
-
-impl fmt::Debug for MatchingSink<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MatchingSink")
-            .field("interner", &self.interner)
-            .finish()
-    }
-}
-
-impl EventSink for MatchingSink<'_> {
-    fn record(&mut self, event: Event) {
-        let compact = CompactEvent::from_event(&event, &self.interner);
-        self.record_compact(compact, &Arc::clone(&self.interner));
-    }
-
-    fn record_compact(&mut self, event: CompactEvent, interner: &Interner) {
-        debug_assert!(
-            std::ptr::eq(&*self.interner, interner),
-            "compact events recorded against a foreign interner"
-        );
-        static STREAMED: obs::Counter = obs::Counter::new("match.streamed_events");
-        STREAMED.add(1);
-        self.consumer.consume(&event);
-    }
-}
-
 /// Context handed to [`TdfModule::processing`] during one activation.
 pub struct ProcessingCtx<'a> {
     pub(crate) time: SimTime,

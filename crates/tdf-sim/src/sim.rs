@@ -100,8 +100,8 @@ impl RunLimits {
 /// Counts events flowing to the wrapped sink so [`RunLimits::max_events`]
 /// can be enforced without touching the sink implementations themselves.
 /// Both entry points are forwarded, so compact-recording sinks (e.g.
-/// [`crate::MatchingSink`]) keep their allocation-free fast path when
-/// wrapped.
+/// [`crate::CompactRecordingSink`]) keep their allocation-free fast path
+/// when wrapped.
 struct CountingSink<'a> {
     inner: &'a mut dyn EventSink,
     recorded: &'a Cell<u64>,

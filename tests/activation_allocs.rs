@@ -2,7 +2,7 @@
 //!
 //! A thread-local counting global allocator measures one testcase of each
 //! case study after a one-period warm-up, once into `NullSink` and once
-//! into a `MatchingSink` streaming into the design's match cursor. Each run
+//! into the design's match cursor, the session's own sink. Each run
 //! must stay under one allocation per 1,000 activations. What may remain
 //! is amortized growth — probe traces doubling their buffers, the cursor
 //! recording a def/use pair the first time it is exercised — which is
@@ -17,7 +17,7 @@ use std::cell::Cell;
 use systemc_ams_dft::dft::{analyse, Design, MatchAutomaton, MatchMode};
 use systemc_ams_dft::models::{buck_boost, pid, sensor, window_lifter};
 use systemc_ams_dft::signals::Testcase;
-use systemc_ams_dft::sim::{Cluster, EventSink, MatchingSink, NullSink, Simulator};
+use systemc_ams_dft::sim::{Cluster, EventSink, NullSink, Simulator};
 
 /// Counts the allocations of the current thread, so tests running in
 /// parallel do not see each other's.
@@ -84,13 +84,11 @@ fn check(study: &str, design: Design, tc: Testcase, build: impl Fn(&Testcase) ->
     let statics = analyse(&design);
     let automaton = MatchAutomaton::new(&design, &statics);
     let mut cursor = automaton.cursor(MatchMode::default());
-    let mut sink = MatchingSink::new(&mut cursor, design.interner().clone());
-    let matching = measure(&design, build(&tc), &mut sink);
-    drop(sink);
+    let matching = measure(&design, build(&tc), &mut cursor);
     let (result, _) = cursor.finish();
     assert!(!result.exercised.is_empty(), "{study}: the cursor matched");
 
-    for (sink, (n, activations)) in [("NullSink", null), ("MatchingSink", matching)] {
+    for (sink, (n, activations)) in [("NullSink", null), ("MatchCursor", matching)] {
         assert!(
             n * 1_000 < activations,
             "{study} into {sink}: {n} allocations over {activations} activations"

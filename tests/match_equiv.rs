@@ -19,7 +19,8 @@ use support::string_matcher::analyse_events_with_mode;
 use systemc_ams_dft::dft::synth::synthetic_chain;
 use systemc_ams_dft::dft::{
     analyse, obs, render_table1, Association, BitSet, Coverage, Design, DftSession, DynamicResult,
-    MatchAutomaton, MatchMode, SessionConfig, StaticAnalysis, TestcaseResult, TestcaseSpec,
+    DynamicWarning, MatchAutomaton, MatchMode, SessionConfig, StaticAnalysis, TestcaseResult,
+    TestcaseSpec,
 };
 use systemc_ams_dft::interp::{Interface, TdfModelDef};
 use systemc_ams_dft::sim::{
@@ -497,4 +498,99 @@ fn matches_legacy_on_backward_time_def_poisoning() {
     assert_eq!(lenient.quarantined, 1);
     assert!(lenient.exercised.is_empty());
     assert!(bits.is_empty());
+}
+
+// ------------------------------------------------ memo edge cases
+//
+// The cursor answers a repeated def site or pair from memos of what its
+// first-occurrence sets hold. These logs aim at the ways a memo could
+// disagree with those sets.
+
+/// Both modes against the reference; returns the lenient result.
+fn assert_equiv_both(design: &Design, events: &[Event]) -> DynamicResult {
+    assert_equiv(design, events, MatchMode::Strict);
+    assert_equiv(design, events, MatchMode::Lenient).0
+}
+
+#[test]
+fn memo_use_site_whose_reaching_def_alternates() {
+    let d = small_design();
+    let mut events = Vec::new();
+    for round in 0..4 {
+        for def_line in [3, 9] {
+            events.push(def_at("M", "t", def_line, round));
+            events.push(use_at("M", "t", 4, round));
+            events.push(use_at("M", "t", 4, round));
+        }
+    }
+    let lenient = assert_equiv_both(&d, &events);
+    for def_line in [3, 9] {
+        let pair = Association::new("t", def_line, "M", 4, "M");
+        assert!(lenient.exercised.contains(&pair), "{pair:?}");
+    }
+    assert_eq!(lenient.exercised.len(), 2);
+}
+
+#[test]
+fn memo_entries_evicted_by_more_sites_than_the_table_holds() {
+    // Far more distinct def sites, local pairs and fed pairs of one slot
+    // than any memo holds, twice over: the second round meets evicted
+    // entries and must fall through to the sets.
+    const SITES: u32 = 5_000;
+    let d = small_design();
+    let fed_from = Provenance::new("op_y", 4, "M");
+    let mut events = Vec::new();
+    for _round in 0..2 {
+        for k in 0..SITES {
+            events.push(def_at("M", "t", 10_000 + k, 0));
+            events.push(use_at("M", "t", 20_000 + k, 0));
+            events.push(fed("M", "ip_x", 30_000 + k, fed_from.clone()));
+        }
+    }
+    let lenient = assert_equiv_both(&d, &events);
+    assert_eq!(lenient.exercised.len(), 2 * SITES as usize);
+    assert_eq!(lenient.defs_executed.len(), SITES as usize + 1);
+    assert!(lenient.warnings.is_empty());
+}
+
+#[test]
+fn memo_def_quarantined_between_two_identical_uses() {
+    let d = small_design();
+    let events = vec![
+        def_at("M", "t", 3, 10),
+        use_at("M", "t", 4, 10),
+        def_at("M", "t", 9, 0), // warped backwards: quarantined, poisons
+        use_at("M", "t", 4, 10),
+    ];
+    let lenient = assert_equiv_both(&d, &events);
+    assert_eq!(lenient.quarantined, 1);
+    assert_eq!(
+        lenient.exercised,
+        [Association::new("t", 3, "M", 4, "M")]
+            .into_iter()
+            .collect()
+    );
+    assert_eq!(
+        lenient.warnings.last(),
+        Some(&DynamicWarning::UseWithoutDef {
+            model: "M".into(),
+            var: "t".into(),
+            line: 4,
+            time: SimTime::from_us(10),
+        })
+    );
+}
+
+#[test]
+fn memo_one_provenance_at_two_use_lines_of_one_slot() {
+    let d = small_design();
+    let fed_from = Provenance::new("op_y", 4, "M");
+    let events: Vec<Event> = [3, 5, 3, 5, 5, 3]
+        .into_iter()
+        .map(|line| fed("M", "ip_x", line, fed_from.clone()))
+        .collect();
+    let lenient = assert_equiv_both(&d, &events);
+    let expected = [3, 5].map(|line| Association::new("op_y", 4, "M", line, "M"));
+    assert_eq!(lenient.exercised, expected.into_iter().collect());
+    assert_eq!(lenient.defs_executed.len(), 1);
 }
