@@ -1,12 +1,15 @@
 //! Ablation A3: instrumentation overhead. The paper argues its
 //! `parallel_print()` insertion is "less intrusive"; here we measure the
-//! cost of def/use event emission by simulating the sensor system with the
-//! recording sink versus the null sink (uninstrumented baseline).
+//! cost of def/use event emission by simulating the sensor system with a
+//! sink that keeps every compact event versus the null sink
+//! (uninstrumented baseline).
+
+use std::hint::black_box;
+use std::sync::Arc;
 
 use ams_models::sensor::{build_sensor_cluster, sensor_testcases, BUGGY_ADC_FULL_SCALE};
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
-use tdf_sim::{NullSink, RecordingSink, Simulator};
+use tdf_sim::{CompactRecordingSink, NullSink, Simulator};
 
 fn bench_instrumentation(c: &mut Criterion) {
     let mut group = c.benchmark_group("instrumentation");
@@ -22,11 +25,11 @@ fn bench_instrumentation(c: &mut Criterion) {
         })
     });
 
-    group.bench_function("instrumented_recording_sink", |b| {
+    group.bench_function("instrumented_compact_recording_sink", |b| {
         b.iter(|| {
             let (cluster, _) = build_sensor_cluster(tc, BUGGY_ADC_FULL_SCALE).unwrap();
+            let mut sink = CompactRecordingSink::new(Arc::clone(cluster.interner()));
             let mut sim = Simulator::new(cluster).unwrap();
-            let mut sink = RecordingSink::new();
             sim.run(tc.duration, &mut sink).unwrap();
             black_box(sink.events.len())
         })

@@ -56,7 +56,7 @@ use std::sync::Arc;
 use dataflow::{BitSet, Cfg};
 use minic::Function;
 use tdf_interp::Interface;
-use tdf_sim::{CompactEvent, Event, EventKind, EventSink, Interner, ProvId, SimTime, Sym};
+use tdf_sim::{CompactEvent, EventKind, EventSink, Interner, ProvId, SimTime, Sym};
 
 use crate::assoc::Association;
 use crate::design::Design;
@@ -829,16 +829,9 @@ impl MatchCursor<'_> {
 }
 
 /// The cursor as the simulator's sink: each event is matched the moment
-/// the kernel emits it. Compact events must carry ids from the
-/// automaton's interner; a legacy [`Event`] is interned on arrival
-/// (control-path only).
+/// the kernel emits it. Events must carry ids from the automaton's
+/// interner.
 impl EventSink for MatchCursor<'_> {
-    fn record(&mut self, event: Event) {
-        let compact = CompactEvent::from_event(&event, &self.automaton.interner);
-        self.streamed += 1;
-        self.feed(&compact);
-    }
-
     fn record_compact(&mut self, event: CompactEvent, interner: &Interner) {
         debug_assert!(
             std::ptr::eq(&*self.automaton.interner, interner),

@@ -5,10 +5,10 @@
 //! helpers next to library components) and executes the instrumented design
 //! against the testsuite. This crate is the Rust-native equivalent: a minic
 //! `processing()` body is *interpreted* inside the `tdf-sim` kernel, and the
-//! interpreter emits a [`tdf_sim::Event`] for every definition and use as it
-//! executes — the same observation stream the printf instrumentation would
-//! produce, with exact source lines and feeding provenance for input-port
-//! reads.
+//! interpreter emits a [`tdf_sim::CompactEvent`] for every definition and
+//! use as it executes — the same observation stream the printf
+//! instrumentation would produce, with exact source lines and feeding
+//! provenance for input-port reads.
 //!
 //! ## Example
 //!

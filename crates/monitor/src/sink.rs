@@ -5,7 +5,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use tdf_sim::{CompactEvent, Event, EventSink, Interner, Sample, SimTime, Sym};
+use tdf_sim::{CompactEvent, EventSink, Interner, Sample, SimTime, Sym};
 
 use crate::bank::MonitorBank;
 
@@ -31,10 +31,6 @@ impl<'a> MonitorSink<'a> {
 }
 
 impl EventSink for MonitorSink<'_> {
-    fn record(&mut self, event: Event) {
-        self.inner.record(event);
-    }
-
     fn record_compact(&mut self, event: CompactEvent, interner: &Interner) {
         self.inner.record_compact(event, interner);
     }

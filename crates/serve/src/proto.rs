@@ -34,6 +34,19 @@ fn bad(msg: impl Into<String>) -> ProtoError {
     ProtoError(msg.into())
 }
 
+/// The largest `*_us` field a request may carry: a [`SimTime`] counts
+/// femtoseconds in a `u64`.
+const MAX_US: u64 = u64::MAX / 1_000_000_000;
+
+/// Converts the microsecond field `k` to a [`SimTime`]; past [`MAX_US`]
+/// it is an error, where [`SimTime::from_us`] would panic.
+fn us_field(k: &str, us: u64) -> Result<SimTime, ProtoError> {
+    if us > MAX_US {
+        return Err(bad(format!("\"{k}\" exceeds {MAX_US} us")));
+    }
+    Ok(SimTime::from_us(us))
+}
+
 /// One parsed request line.
 #[derive(Debug)]
 pub enum Request {
@@ -283,7 +296,7 @@ impl TestcaseSel {
                 if dur_us == 0 {
                     return Err(bad("\"duration_us\" must be positive"));
                 }
-                let mut tc = Testcase::new(name, SimTime::from_us(dur_us));
+                let mut tc = Testcase::new(name, us_field("duration_us", dur_us)?);
                 if let Some(Json::Obj(channels)) = v.get("channels") {
                     for (channel, spec) in channels {
                         tc.set_signal(channel, parse_signal(spec)?);
@@ -325,8 +338,8 @@ fn parse_signal(v: &Json) -> Result<Signal, ProtoError> {
     let time_us = |k: &str| {
         v.get(k)
             .and_then(Json::as_u64)
-            .map(SimTime::from_us)
             .ok_or_else(|| bad(format!("signal missing integer \"{k}\"")))
+            .and_then(|us| us_field(k, us))
     };
     match kind {
         "constant" => Ok(Signal::Constant(num("level")?)),
@@ -457,8 +470,8 @@ fn parse_assertion_expr(v: &Json, depth: usize) -> Result<AssertionExpr, ProtoEr
     let time_us = |k: &str| {
         v.get(k)
             .and_then(Json::as_u64)
-            .map(SimTime::from_us)
             .ok_or_else(|| bad(format!("assertion missing integer \"{k}\"")))
+            .and_then(|us| us_field(k, us))
     };
     match op {
         "never_above" | "never_below" => {
@@ -711,6 +724,45 @@ mod tests {
         assert_eq!(tc.name, "X1");
         assert_eq!(tc.duration, SimTime::from_us(2000));
         assert!(tc.drives("ts_in") && tc.drives("hs_in"));
+    }
+
+    /// Each kind of microsecond field — a testcase's duration, a signal's
+    /// time, an assertion's window — parses at the largest value a
+    /// `SimTime` holds and is an error, not a panic, one past it.
+    #[test]
+    fn microsecond_fields_are_checked_at_the_simtime_limit() {
+        assert_eq!(MAX_US, 18_446_744_073);
+        let lines = |us: u64| {
+            let analyse = r#"{"op":"analyse","design":"sensor""#;
+            [
+                (
+                    "duration_us",
+                    format!(r#"{analyse},"testcases":[{{"name":"X","duration_us":{us}}}]}}"#),
+                ),
+                (
+                    "at_us",
+                    format!(
+                        r#"{analyse},"testcases":[{{"name":"X","duration_us":1,"channels":{{
+                            "ts_in":{{"kind":"step","before":0,"after":1,"at_us":{us}}}}}}}]}}"#
+                    ),
+                ),
+                (
+                    "window_us",
+                    format!(
+                        r#"{analyse},"assertions":[{{"name":"a","assert":{{"op":"settles",
+                            "signal":"s","target":0,"epsilon":1,"window_us":{us}}}}}]}}"#
+                    ),
+                ),
+            ]
+        };
+        for ((field, at_limit), (_, past_limit)) in lines(MAX_US).into_iter().zip(lines(MAX_US + 1))
+        {
+            assert!(Request::parse(&at_limit).is_ok(), "{field} at the limit");
+            assert_eq!(
+                Request::parse(&past_limit).unwrap_err().0,
+                format!("\"{field}\" exceeds 18446744073 us"),
+            );
+        }
     }
 
     #[test]

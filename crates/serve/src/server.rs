@@ -21,7 +21,6 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -129,7 +128,6 @@ struct Shared {
     /// splicing every model the edit left unchanged. Bounded by the
     /// design-family enum, so no eviction.
     prev_builds: Mutex<HashMap<&'static str, Arc<SessionArtifacts>>>,
-    connections: AtomicUsize,
 }
 
 /// A running server; dropping the handle does **not** stop it — call
@@ -197,7 +195,6 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         cache: ArtifactCache::new(config.cache_capacity),
         base_session: SessionConfig::from_env(),
         prev_builds: Mutex::new(HashMap::new()),
-        connections: AtomicUsize::new(0),
         config,
     });
     let workers = (0..shared.config.workers)
@@ -232,13 +229,9 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
         match listener.accept() {
             Ok((stream, _)) => {
                 let shared = Arc::clone(shared);
-                shared.connections.fetch_add(1, Ordering::Relaxed);
                 let spawned = std::thread::Builder::new()
                     .name("dft-serve-conn".to_owned())
-                    .spawn(move || {
-                        handle_connection(stream, &shared);
-                        shared.connections.fetch_sub(1, Ordering::Relaxed);
-                    });
+                    .spawn(move || handle_connection(stream, &shared));
                 if spawned.is_err() {
                     // Thread exhaustion: shed the connection, keep serving.
                     obs::Counter::new("serve.conn.spawn_failed").add(1);

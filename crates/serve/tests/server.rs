@@ -84,6 +84,8 @@ fn ping_metrics_and_malformed_lines() {
         "{}",
         r#"{"op":"frobnicate"}"#,
         "[1,2,3]",
+        // One microsecond past what a `SimTime` holds.
+        r#"{"op":"analyse","design":"sensor","testcases":[{"name":"X","duration_us":18446744074}]}"#,
     ] {
         let resp = client.roundtrip(bad);
         assert_eq!(status(&resp), "error", "{bad}");

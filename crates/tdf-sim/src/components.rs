@@ -586,7 +586,7 @@ mod tests {
         }
         struct CountSink(usize);
         impl EventSink for CountSink {
-            fn record(&mut self, _e: Event) {
+            fn record_compact(&mut self, _e: CompactEvent, _interner: &Interner) {
                 self.0 += 1;
             }
         }

@@ -5,10 +5,11 @@
 //! event logs and models it is fed. This module makes every degradation
 //! path *testable on demand*: a seeded [`FaultPlan`] drives a
 //! [`FaultInjector`] that can corrupt a recorded log offline
-//! ([`FaultInjector::corrupt_log`]), tamper with events as they flow to a
-//! sink ([`FaultSink`]), or wrap whole modules so they emit NaN/Inf
-//! samples ([`CorruptValues`]), panic ([`PanicAfter`]) or stall
-//! ([`StallAfter`]) after N activations.
+//! ([`FaultInjector::corrupt_log`]), or wrap whole modules so they tamper
+//! with the events they emit ([`FaultyEvents`]), emit NaN/Inf samples
+//! ([`CorruptValues`]), panic ([`PanicAfter`]) or stall ([`StallAfter`])
+//! after N activations. Event faults work on [`CompactEvent`]s and intern
+//! the ghost names they fabricate into the events' own interner.
 //!
 //! Everything is driven by a small dependency-free xorshift RNG seeded
 //! from the plan, so a given `(seed, probabilities)` pair reproduces the
@@ -19,9 +20,8 @@
 use std::collections::VecDeque;
 use std::time::Duration;
 
-use crate::module::{
-    Event, EventSink, ModuleClass, ModuleSpec, ProcessingCtx, RecordingSink, TdfModule,
-};
+use crate::intern::{CompactEvent, Interner};
+use crate::module::{EventSink, ModuleClass, ModuleSpec, ProcessingCtx, TdfModule};
 use crate::time::SimTime;
 use crate::value::Value;
 
@@ -92,8 +92,8 @@ pub struct FaultPlan {
     /// (the default) reproduces the historical single-slot behaviour
     /// bit-for-bit; larger depths displace events further. A struct-literal
     /// depth of 0 is treated as 1 everywhere the plan is executed
-    /// ([`FaultSink`], [`FaultyEvents`], [`FaultInjector::corrupt_log`]),
-    /// matching the [`FaultPlan::with_reorder_depth`] clamp.
+    /// ([`FaultyEvents`], [`FaultInjector::corrupt_log`]), matching the
+    /// [`FaultPlan::with_reorder_depth`] clamp.
     pub reorder_depth: usize,
     /// Probability an event's model/variable/timestamp is garbled.
     pub corrupt_events: f64,
@@ -186,35 +186,21 @@ impl FaultPlan {
 }
 
 /// Garbles one event: unknown model, unknown variable, or a warped
-/// timestamp (whichever the RNG picks).
-fn corrupt_event(e: &Event, rng: &mut FaultRng) -> Event {
-    let mut e = e.clone();
+/// timestamp (whichever the RNG picks). Ghost names are interned into
+/// `interner`, the one the event's ids come from.
+fn corrupt_event(mut e: CompactEvent, rng: &mut FaultRng, interner: &Interner) -> CompactEvent {
     match rng.next_u64() % 3 {
-        0 => {
-            let name = format!("__ghost_model_{}", rng.next_u64() % 4);
-            match &mut e {
-                Event::Def { model, .. } | Event::Use { model, .. } => *model = name,
-            }
-        }
-        1 => {
-            let name = format!("__ghost_var_{}", rng.next_u64() % 4);
-            match &mut e {
-                Event::Def { var, .. } | Event::Use { var, .. } => *var = name,
-            }
-        }
-        _ => {
-            // Warp the timestamp backwards to zero — non-monotone for any
-            // event past the first activation.
-            match &mut e {
-                Event::Def { time, .. } | Event::Use { time, .. } => *time = SimTime::ZERO,
-            }
-        }
+        0 => e.model = interner.intern(&format!("__ghost_model_{}", rng.next_u64() % 4)),
+        1 => e.var = interner.intern(&format!("__ghost_var_{}", rng.next_u64() % 4)),
+        // Warp the timestamp backwards to zero — non-monotone for any
+        // event past the first activation.
+        _ => e.time = SimTime::ZERO,
     }
     e
 }
 
 /// Shared fault pipeline for one event: drop → corrupt → reorder-hold →
-/// duplicate → deliver (flushing all held events *after* this one).
+/// duplicate → `deliver` (flushing all held events *after* this one).
 ///
 /// The reorder hold is a **bounded ring buffer** of at most
 /// [`FaultPlan::reorder_depth`] events — the only buffering the streaming
@@ -223,11 +209,12 @@ fn corrupt_event(e: &Event, rng: &mut FaultRng) -> Event {
 /// *before* the RNG draw, exactly like the historical `held.is_none()`
 /// single-slot check, so depth 1 replays byte-identical fault sequences.
 fn apply_event_faults(
-    event: Event,
+    event: CompactEvent,
+    interner: &Interner,
     plan: &FaultPlan,
     rng: &mut FaultRng,
-    held: &mut VecDeque<Event>,
-    inner: &mut dyn EventSink,
+    held: &mut VecDeque<CompactEvent>,
+    mut deliver: impl FnMut(CompactEvent),
 ) {
     if rng.chance(plan.drop_events) {
         FAULT_DROP.add(1);
@@ -235,7 +222,7 @@ fn apply_event_faults(
     }
     let event = if rng.chance(plan.corrupt_events) {
         FAULT_CORRUPT.add(1);
-        corrupt_event(&event, rng)
+        corrupt_event(event, rng, interner)
     } else {
         event
     };
@@ -246,57 +233,10 @@ fn apply_event_faults(
     }
     if rng.chance(plan.duplicate_events) {
         FAULT_DUP.add(1);
-        inner.record(event.clone());
+        deliver(event);
     }
-    inner.record(event);
-    while let Some(h) = held.pop_front() {
-        inner.record(h);
-    }
-}
-
-/// An [`EventSink`] adaptor injecting the plan's event faults into the
-/// stream on its way to `inner`. Held (reordered) events are flushed when
-/// a later event passes through, or at the latest when the sink drops —
-/// reordering never *loses* events.
-///
-/// Fault injection deliberately operates on the legacy string
-/// representation (`corrupt_event` fabricates ghost names no interner
-/// has seen): compact events arriving via
-/// [`EventSink::record_compact`] take the default materialize-and-
-/// `record` path, so they pass through the same fault pipeline.
-pub struct FaultSink<'a> {
-    inner: &'a mut dyn EventSink,
-    plan: FaultPlan,
-    rng: FaultRng,
-    held: VecDeque<Event>,
-}
-
-impl<'a> FaultSink<'a> {
-    /// Wraps `inner`, seeding the fault RNG from the plan.
-    pub fn new(plan: FaultPlan, inner: &'a mut dyn EventSink) -> Self {
-        let plan = plan.normalized();
-        let rng = FaultRng::new(plan.seed);
-        FaultSink {
-            inner,
-            plan,
-            rng,
-            held: VecDeque::new(),
-        }
-    }
-}
-
-impl EventSink for FaultSink<'_> {
-    fn record(&mut self, event: Event) {
-        apply_event_faults(event, &self.plan, &mut self.rng, &mut self.held, self.inner);
-    }
-}
-
-impl Drop for FaultSink<'_> {
-    fn drop(&mut self) {
-        while let Some(h) = self.held.pop_front() {
-            self.inner.record(h);
-        }
-    }
+    deliver(event);
+    held.drain(..).for_each(deliver);
 }
 
 /// Entry point for injecting faults from a [`FaultPlan`].
@@ -319,22 +259,22 @@ impl FaultInjector {
         &self.plan
     }
 
-    /// Applies the plan's event faults to a recorded log, offline.
-    /// Deterministic: the same plan and input produce the same output.
-    pub fn corrupt_log(&self, events: &[Event]) -> Vec<Event> {
-        let mut out = RecordingSink::new();
-        {
-            let mut sink = FaultSink::new(self.plan.clone(), &mut out);
-            for e in events {
-                sink.record(e.clone());
-            }
+    /// Applies the plan's event faults to a recorded log, offline. Ghost
+    /// names are interned into `interner`, the log's own; events still
+    /// held when the log ends are appended, so reordering never loses
+    /// one. Deterministic: the same plan and input produce the same
+    /// output.
+    pub fn corrupt_log(&self, events: &[CompactEvent], interner: &Interner) -> Vec<CompactEvent> {
+        let mut rng = FaultRng::new(self.plan.seed);
+        let mut held = VecDeque::new();
+        let mut out = Vec::with_capacity(events.len());
+        for &event in events {
+            apply_event_faults(event, interner, &self.plan, &mut rng, &mut held, |e| {
+                out.push(e)
+            });
         }
-        out.events
-    }
-
-    /// Wraps `inner` so the plan's event faults are injected online.
-    pub fn wrap_sink<'a>(&self, inner: &'a mut dyn EventSink) -> FaultSink<'a> {
-        FaultSink::new(self.plan.clone(), inner)
+        out.extend(held);
+        out
     }
 }
 
@@ -480,13 +420,14 @@ impl TdfModule for CorruptValues {
 
 /// Wraps a module so every event it emits passes through the plan's event
 /// faults before reaching the real sink — the online counterpart of
-/// [`FaultInjector::corrupt_log`]. The reorder hold-slot persists across
-/// activations; `initialize()` flushes it and reseeds the RNG.
+/// [`FaultInjector::corrupt_log`]. The reorder hold persists across
+/// activations; `initialize()` clears it, dropping any held events, and
+/// reseeds the RNG.
 pub struct FaultyEvents {
     inner: Box<dyn TdfModule>,
     plan: FaultPlan,
     rng: FaultRng,
-    held: VecDeque<Event>,
+    held: VecDeque<CompactEvent>,
 }
 
 impl FaultyEvents {
@@ -509,12 +450,15 @@ struct TapSink<'a> {
     inner: &'a mut dyn EventSink,
     plan: &'a FaultPlan,
     rng: &'a mut FaultRng,
-    held: &'a mut VecDeque<Event>,
+    held: &'a mut VecDeque<CompactEvent>,
 }
 
 impl EventSink for TapSink<'_> {
-    fn record(&mut self, event: Event) {
-        apply_event_faults(event, self.plan, self.rng, self.held, self.inner);
+    fn record_compact(&mut self, event: CompactEvent, interner: &Interner) {
+        let inner = &mut *self.inner;
+        apply_event_faults(event, interner, self.plan, self.rng, self.held, |e| {
+            inner.record_compact(e, interner)
+        });
     }
 }
 
@@ -557,17 +501,27 @@ impl TdfModule for FaultyEvents {
 mod tests {
     use super::*;
     use crate::components::FnSource;
+    use crate::intern::{EventKind, ProvId};
     use crate::module::NullSink;
 
-    fn sample_log(n: u32) -> Vec<Event> {
+    /// `n` defs of `TS.tmpr` at lines 4, 5, … one microsecond apart.
+    fn sample_log(n: u32, interner: &Interner) -> Vec<CompactEvent> {
+        let (model, var) = (interner.intern("TS"), interner.intern("tmpr"));
         (0..n)
-            .map(|i| Event::Def {
+            .map(|i| CompactEvent {
                 time: SimTime::from_us(i as u64),
-                model: "TS".into(),
-                var: "tmpr".into(),
+                model,
+                var,
                 line: 4 + i,
+                kind: EventKind::Def,
+                prov: ProvId::NONE,
+                defined: true,
             })
             .collect()
+    }
+
+    fn lines(log: &[CompactEvent]) -> Vec<u32> {
+        log.iter().map(|e| e.line).collect()
     }
 
     #[test]
@@ -578,38 +532,42 @@ mod tests {
             .with_duplicate_events(0.3)
             .with_reorder_events(0.3)
             .with_corrupt_events(0.3);
-        let log = sample_log(50);
-        let a = FaultInjector::new(plan.clone()).corrupt_log(&log);
-        let b = FaultInjector::new(plan).corrupt_log(&log);
+        let i = Interner::new();
+        let log = sample_log(50, &i);
+        let a = FaultInjector::new(plan.clone()).corrupt_log(&log, &i);
+        let b = FaultInjector::new(plan).corrupt_log(&log, &i);
         assert_eq!(a, b, "same plan replays the same faults");
     }
 
     #[test]
     fn drop_probability_one_empties_the_log() {
+        let i = Interner::new();
         let inj = FaultInjector::new(FaultPlan::new().with_drop_events(1.0));
-        assert!(inj.corrupt_log(&sample_log(10)).is_empty());
+        assert!(inj.corrupt_log(&sample_log(10, &i), &i).is_empty());
     }
 
     #[test]
     fn duplicate_probability_one_doubles_the_log() {
+        let i = Interner::new();
         let inj = FaultInjector::new(FaultPlan::new().with_duplicate_events(1.0));
-        assert_eq!(inj.corrupt_log(&sample_log(10)).len(), 20);
+        assert_eq!(inj.corrupt_log(&sample_log(10, &i), &i).len(), 20);
     }
 
     #[test]
     fn reorder_never_loses_events() {
+        let i = Interner::new();
         let inj = FaultInjector::new(FaultPlan::new().with_seed(7).with_reorder_events(0.8));
-        let log = sample_log(40);
-        let out = inj.corrupt_log(&log);
+        let log = sample_log(40, &i);
+        let out = inj.corrupt_log(&log, &i);
         assert_eq!(out.len(), log.len(), "reordering only permutes");
-        let mut sorted_in: Vec<u32> = log.iter().map(Event::line).collect();
-        let mut sorted_out: Vec<u32> = out.iter().map(Event::line).collect();
+        let mut sorted_in = lines(&log);
+        let mut sorted_out = lines(&out);
         sorted_in.sort_unstable();
         sorted_out.sort_unstable();
         assert_eq!(sorted_in, sorted_out, "same multiset of events");
         assert_ne!(
-            log.iter().map(Event::line).collect::<Vec<_>>(),
-            out.iter().map(Event::line).collect::<Vec<_>>(),
+            lines(&log),
+            lines(&out),
             "at 0.8 probability over 40 events some pair really swapped"
         );
     }
@@ -622,14 +580,14 @@ mod tests {
                 .with_reorder_events(1.0)
                 .with_reorder_depth(4),
         );
-        let log = sample_log(20);
-        let out = inj.corrupt_log(&log);
+        let i = Interner::new();
+        let log = sample_log(20, &i);
+        let out = inj.corrupt_log(&log, &i);
         assert_eq!(out.len(), log.len(), "ring flushes everything");
         // At probability 1 the first four events fill the ring; the fifth
         // finds it full (no RNG draw), is delivered, and flushes the held
         // ones in arrival order.
-        let lines: Vec<u32> = out.iter().map(Event::line).collect();
-        assert_eq!(&lines[..5], &[8, 4, 5, 6, 7]);
+        assert_eq!(&lines(&out)[..5], &[8, 4, 5, 6, 7]);
     }
 
     #[test]
@@ -642,9 +600,10 @@ mod tests {
             ..FaultPlan::new().with_seed(11).with_reorder_events(0.7)
         };
         let one = zero.clone().with_reorder_depth(1);
-        let log = sample_log(30);
-        let out_zero = FaultInjector::new(zero.clone()).corrupt_log(&log);
-        let out_one = FaultInjector::new(one).corrupt_log(&log);
+        let i = Interner::new();
+        let log = sample_log(30, &i);
+        let out_zero = FaultInjector::new(zero.clone()).corrupt_log(&log, &i);
+        let out_one = FaultInjector::new(one).corrupt_log(&log, &i);
         assert_eq!(out_zero, out_one, "depth 0 normalizes to depth 1");
         assert_eq!(out_zero.len(), log.len(), "the hold still flushes");
         assert_eq!(
@@ -656,11 +615,19 @@ mod tests {
 
     #[test]
     fn corrupted_events_differ_from_originals() {
+        let i = Interner::new();
         let inj = FaultInjector::new(FaultPlan::new().with_seed(3).with_corrupt_events(1.0));
-        let log = sample_log(10);
-        let out = inj.corrupt_log(&log);
+        let log = sample_log(10, &i);
+        let out = inj.corrupt_log(&log, &i);
         assert_eq!(out.len(), log.len());
         assert!(out.iter().zip(&log).any(|(a, b)| a != b));
+        // Each event lost its model, its variable or its timestamp; a
+        // ghost name resolves through the log's interner.
+        let ghost = |sym| i.resolve(sym).starts_with("__ghost_");
+        for (a, b) in out.iter().zip(&log) {
+            let garbled = [ghost(a.model), ghost(a.var), a.time.is_zero()];
+            assert!(garbled.iter().any(|&g| g), "{a:?} from {b:?}");
+        }
     }
 
     #[test]
@@ -722,19 +689,13 @@ mod tests {
     }
 
     #[test]
-    fn fault_sink_drop_flushes_held_event() {
-        let mut rec = RecordingSink::new();
-        {
-            let mut sink = FaultSink::new(
-                FaultPlan::new().with_seed(1).with_reorder_events(1.0),
-                &mut rec,
-            );
-            // Every event gets held; each next event flushes the previous
-            // hold, and the final hold flushes on drop.
-            for e in sample_log(3) {
-                sink.record(e);
-            }
-        }
-        assert_eq!(rec.events.len(), 3, "no event lost to the hold slot");
+    fn corrupt_log_appends_events_still_held() {
+        // With a hold of one at probability 1, the first event is held,
+        // the second finds the hold full and flushes it, and the third is
+        // still held when the log ends.
+        let i = Interner::new();
+        let inj = FaultInjector::new(FaultPlan::new().with_seed(1).with_reorder_events(1.0));
+        let out = inj.corrupt_log(&sample_log(3, &i), &i);
+        assert_eq!(lines(&out), [5, 4, 6], "no event lost to the hold");
     }
 }

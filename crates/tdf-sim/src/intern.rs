@@ -1,24 +1,25 @@
 //! String interning and the compact (POD) event representation.
 //!
-//! Every instrumentation [`Event`](crate::Event) historically carried two
-//! heap `String`s (model, var) plus an optional boxed provenance — so
-//! recording an event cost allocations, and matching logs against the
-//! static association set hashed `(String, String, u32)` tuples rebuilt
-//! per testcase. The [`Interner`] assigns each distinct name a stable
-//! [`Sym`] id and each distinct provenance triple a [`ProvId`], letting
-//! the simulator record a [`CompactEvent`] — a plain `Copy` struct — per
-//! def/use site, and letting the matcher work in dense index space.
+//! The [`Interner`] assigns each distinct name a stable [`Sym`] id and
+//! each distinct provenance triple a [`ProvId`]. Every sink receives the
+//! kernel's instrumentation as [`CompactEvent`]s — a plain `Copy` struct
+//! per def/use site, recorded without allocating — and the matcher works
+//! in their dense index space. The string [`Event`](crate::Event), with
+//! two heap `String`s and an optional provenance per event, is only a
+//! rendering ([`CompactEvent::to_event`]).
 //!
 //! ## Determinism contract
 //!
 //! Sym ids are assigned in first-intern order, so they are only stable if
 //! interning happens on deterministic, single-threaded control paths:
-//! design construction, sequential simulation, and log conversion. The
-//! parallel matching stage never interns — workers only resolve ids —
-//! which keeps reports byte-identical at any `DFT_THREADS`. Nothing in
-//! the *output* ever depends on id order anyway (all rendering goes
-//! through resolved strings), so a different interning order can never
-//! change a report, only internal table layouts.
+//! design construction, sequential simulation (the fault tap interns the
+//! ghost names it fabricates into the cluster's interner), and log
+//! conversion or corruption. The parallel matching stage never interns —
+//! workers only resolve ids — which keeps reports byte-identical at any
+//! `DFT_THREADS`. Nothing in the *output* ever depends on id order anyway
+//! (all rendering goes through resolved strings), so a different
+//! interning order can never change a report, only internal table
+//! layouts.
 //!
 //! The table is append-only behind an `RwLock`: the hot path (looking up
 //! an already-interned name) takes the read lock only.
@@ -75,9 +76,10 @@ pub enum EventKind {
     Use,
 }
 
-/// The POD event record: what [`Event`](crate::Event) says, in interned
-/// index space. `Copy`, allocation-free to record, and 24 bytes instead
-/// of two heap strings plus an optional boxed provenance.
+/// The kernel's instrumentation event, in interned index space: `Copy`,
+/// allocation-free to record, and 24 bytes instead of the two heap strings
+/// plus an optional provenance of its rendering,
+/// [`Event`](crate::Event).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactEvent {
     /// Simulation time of the def/use.
@@ -98,9 +100,9 @@ pub struct CompactEvent {
 }
 
 impl CompactEvent {
-    /// Converts a legacy string [`Event`] into compact form, interning
-    /// any names it carries. Control-path only (interning mutates the
-    /// table): log conversion, sequential recording.
+    /// Converts a string [`Event`] into compact form, interning any names
+    /// it carries — for logs written by hand. Control-path only (interning
+    /// mutates the table).
     pub fn from_event(event: &Event, interner: &Interner) -> CompactEvent {
         match event {
             Event::Def {
@@ -138,7 +140,8 @@ impl CompactEvent {
         }
     }
 
-    /// Materializes the legacy string [`Event`] this record denotes.
+    /// Renders this record as the string [`Event`] it denotes
+    /// ([`RecordingSink`](crate::RecordingSink) does so for every event).
     ///
     /// # Panics
     ///

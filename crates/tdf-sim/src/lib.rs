@@ -14,8 +14,9 @@
 //!   when unknown); redefining library components (delay, gain, buffer, …)
 //!   re-stamp it with their netlist binding site, which is exactly the
 //!   paper's `parallel_print()` observation point;
-//! * modules can emit def/use [`Event`]s into an [`EventSink`] during
-//!   `processing()` — the analog of the injected print instrumentation.
+//! * modules can emit def/use [`CompactEvent`]s into an [`EventSink`]
+//!   during `processing()` — the analog of the injected print
+//!   instrumentation; [`RecordingSink`] renders them as string [`Event`]s.
 //!
 //! ## Example
 //!
@@ -68,8 +69,7 @@ pub use components::{
 };
 pub use error::{Result, TdfError};
 pub use fault::{
-    CorruptValues, FaultInjector, FaultPlan, FaultRng, FaultSink, FaultyEvents, PanicAfter,
-    StallAfter,
+    CorruptValues, FaultInjector, FaultPlan, FaultRng, FaultyEvents, PanicAfter, StallAfter,
 };
 pub use intern::{CompactEvent, EventKind, Interner, ProvId, Sym};
 pub use module::{

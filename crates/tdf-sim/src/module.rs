@@ -140,8 +140,10 @@ pub enum ModuleClass {
     Testbench,
 }
 
-/// A runtime def/use observation, the analog of the paper's injected
-/// `printf` instrumentation and `parallel_print()` modules.
+/// A runtime def/use observation in string form, the analog of the
+/// paper's injected `printf` instrumentation and `parallel_print()`
+/// modules. The kernel emits [`CompactEvent`]s; [`RecordingSink`] renders
+/// each one into an `Event` for tests and docs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// A variable/member/port was defined.
@@ -197,18 +199,10 @@ impl Event {
     }
 }
 
-/// Consumer of instrumentation [`Event`]s.
+/// Consumer of the kernel's instrumentation stream.
 pub trait EventSink {
-    /// Records one event.
-    fn record(&mut self, event: Event);
-
-    /// Records one compact (interned) event. The default materializes the
-    /// legacy [`Event`] and delegates to [`EventSink::record`], so
-    /// string-based sinks keep working unchanged; allocation-free sinks
-    /// ([`CompactRecordingSink`], [`NullSink`]) override it.
-    fn record_compact(&mut self, event: CompactEvent, interner: &Interner) {
-        self.record(event.to_event(interner));
-    }
+    /// Records one event, whose ids come from `interner`.
+    fn record_compact(&mut self, event: CompactEvent, interner: &Interner);
 
     /// Whether this sink wants per-sample signal observations
     /// ([`EventSink::record_sample`]). The kernel checks this per output
@@ -238,12 +232,11 @@ pub trait EventSink {
 pub struct NullSink;
 
 impl EventSink for NullSink {
-    fn record(&mut self, _event: Event) {}
-
     fn record_compact(&mut self, _event: CompactEvent, _interner: &Interner) {}
 }
 
-/// Buffers every event in memory for post-run analysis.
+/// Buffers every event in memory for post-run analysis, rendered into
+/// string form on arrival — the one sink that builds [`Event`]s.
 #[derive(Debug, Clone, Default)]
 pub struct RecordingSink {
     /// The recorded event log, in execution order.
@@ -258,14 +251,13 @@ impl RecordingSink {
 }
 
 impl EventSink for RecordingSink {
-    fn record(&mut self, event: Event) {
-        self.events.push(event);
+    fn record_compact(&mut self, event: CompactEvent, interner: &Interner) {
+        self.events.push(event.to_event(interner));
     }
 }
 
 /// Buffers every event in compact (interned) form — the allocation-free
-/// counterpart of [`RecordingSink`]. Legacy [`Event`]s routed through
-/// [`EventSink::record`] are interned on arrival (control-path only).
+/// counterpart of [`RecordingSink`].
 #[derive(Debug)]
 pub struct CompactRecordingSink {
     /// The recorded compact event log, in execution order.
@@ -285,11 +277,6 @@ impl CompactRecordingSink {
 }
 
 impl EventSink for CompactRecordingSink {
-    fn record(&mut self, event: Event) {
-        let compact = CompactEvent::from_event(&event, &self.interner);
-        self.events.push(compact);
-    }
-
     fn record_compact(&mut self, event: CompactEvent, interner: &Interner) {
         debug_assert!(
             std::ptr::eq(&*self.interner, interner),
@@ -453,28 +440,20 @@ mod tests {
 
     #[test]
     fn recording_sink_buffers_in_order() {
+        let interner = Interner::new();
         let mut sink = RecordingSink::new();
         for line in [1, 2, 3] {
-            sink.record(Event::Def {
+            let def = Event::Def {
                 time: SimTime::ZERO,
                 model: "M".into(),
                 var: "x".into(),
                 line,
-            });
+            };
+            sink.record_compact(CompactEvent::from_event(&def, &interner), &interner);
         }
         let lines: Vec<u32> = sink.events.iter().map(Event::line).collect();
         assert_eq!(lines, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn null_sink_accepts_everything() {
-        let mut s = NullSink;
-        s.record(Event::Def {
-            time: SimTime::ZERO,
-            model: "M".into(),
-            var: "x".into(),
-            line: 1,
-        });
+        assert_eq!(sink.events[0].model(), "M");
     }
 
     #[test]

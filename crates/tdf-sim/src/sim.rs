@@ -8,8 +8,8 @@ use std::time::{Duration, Instant};
 
 use crate::cluster::{Cluster, ModuleId, Netlist};
 use crate::error::{Result, TdfError};
-use crate::intern::Sym;
-use crate::module::{Event, EventSink, ProcessingCtx};
+use crate::intern::{CompactEvent, Interner, Sym};
+use crate::module::{EventSink, ProcessingCtx};
 use crate::schedule::{compute_schedule, Schedule};
 use crate::time::SimTime;
 use crate::value::Sample;
@@ -99,21 +99,13 @@ impl RunLimits {
 
 /// Counts events flowing to the wrapped sink so [`RunLimits::max_events`]
 /// can be enforced without touching the sink implementations themselves.
-/// Both entry points are forwarded, so compact-recording sinks (e.g.
-/// [`crate::CompactRecordingSink`]) keep their allocation-free fast path
-/// when wrapped.
 struct CountingSink<'a> {
     inner: &'a mut dyn EventSink,
     recorded: &'a Cell<u64>,
 }
 
 impl EventSink for CountingSink<'_> {
-    fn record(&mut self, event: Event) {
-        self.recorded.set(self.recorded.get() + 1);
-        self.inner.record(event);
-    }
-
-    fn record_compact(&mut self, event: crate::CompactEvent, interner: &crate::Interner) {
+    fn record_compact(&mut self, event: CompactEvent, interner: &Interner) {
         self.recorded.set(self.recorded.get() + 1);
         self.inner.record_compact(event, interner);
     }
@@ -126,7 +118,7 @@ impl EventSink for CountingSink<'_> {
         self.inner.wants_samples()
     }
 
-    fn record_sample(&mut self, time: SimTime, signal: crate::Sym, sample: &Sample) {
+    fn record_sample(&mut self, time: SimTime, signal: Sym, sample: &Sample) {
         self.inner.record_sample(time, signal, sample);
     }
 }
@@ -1020,7 +1012,7 @@ mod tests {
         seen: Vec<(SimTime, crate::Sym, f64, bool)>,
     }
     impl EventSink for SampleTap {
-        fn record(&mut self, _event: Event) {}
+        fn record_compact(&mut self, _event: CompactEvent, _interner: &Interner) {}
         fn wants_samples(&self) -> bool {
             true
         }

@@ -236,3 +236,40 @@ fn healthy_batch_renders_without_degradation_footer() {
         render_summary(&seq.coverage())
     );
 }
+
+/// TC3's exact quarantine result (seed 7, corrupt rate 0.5): every
+/// warning in first-occurrence order, and the associations the surviving
+/// events still exercise.
+#[test]
+fn corrupted_testcase_pins_its_warnings_and_exercised_set() {
+    let session = run_batch();
+    let tc3 = &session.runs()[2];
+    let warnings: Vec<String> = tc3.warnings.iter().map(|w| format!("{w:?}")).collect();
+    assert_eq!(
+        warnings,
+        [
+            r#"UnknownModel { model: "__ghost_model_2", time: SimTime(0) }"#,
+            r#"UnknownModel { model: "__ghost_model_1", time: SimTime(0) }"#,
+            r#"UnknownVariable { model: "producer", var: "__ghost_var_3", time: SimTime(0) }"#,
+            r#"UseWithoutDef { model: "producer", var: "o", line: 5, time: SimTime(0) }"#,
+            r#"UnknownVariable { model: "producer", var: "__ghost_var_1", time: SimTime(0) }"#,
+            r#"UseWithoutDef { model: "producer", var: "v", line: 4, time: SimTime(5000000000) }"#,
+            r#"NonMonotoneTimestamp { model: "producer", time: SimTime(0), last: SimTime(10000000000) }"#,
+            r#"UnknownVariable { model: "producer", var: "__ghost_var_2", time: SimTime(10000000000) }"#,
+            r#"UnknownVariable { model: "producer", var: "__ghost_var_0", time: SimTime(25000000000) }"#,
+            r#"UnknownModel { model: "__ghost_model_0", time: SimTime(30000000000) }"#,
+        ]
+    );
+    let mut exercised: Vec<String> = tc3.exercised.iter().map(ToString::to_string).collect();
+    exercised.sort();
+    assert_eq!(
+        exercised,
+        [
+            "(got, 9, consumer, 10, consumer)",
+            "(ip_in, 1, producer, 3, producer)",
+            "(o, 4, producer, 5, producer)",
+            "(op_y, 5, producer, 9, consumer)",
+            "(v, 3, producer, 4, producer)",
+        ]
+    );
+}

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use systemc_ams_dft::models::{buck_boost, pid, sensor, window_lifter};
 use systemc_ams_dft::signals::Testcase;
 use systemc_ams_dft::sim::{
-    Cluster, CompactEvent, Event, EventKind, EventSink, Interner, Simulator, TraceBuffer,
+    Cluster, CompactEvent, EventKind, EventSink, Interner, Simulator, TraceBuffer,
 };
 
 const GOLDEN: &str = concat!(
@@ -50,90 +50,35 @@ impl Fnv {
     }
 }
 
-/// Hashes the event stream in resolved form, whichever entry point the
-/// kernel uses to deliver it.
+/// Hashes the event stream in resolved form.
 struct HashSink {
     hash: Fnv,
     events: u64,
 }
 
-impl HashSink {
-    #[allow(clippy::too_many_arguments)]
-    fn add(
-        &mut self,
-        time_fs: u64,
-        def: bool,
-        model: &str,
-        var: &str,
-        line: u32,
-        feeding: Option<(&str, u32, &str)>,
-        defined: bool,
-    ) {
+impl EventSink for HashSink {
+    fn record_compact(&mut self, event: CompactEvent, interner: &Interner) {
         let h = &mut self.hash;
-        h.bytes(&time_fs.to_le_bytes());
-        h.bytes(if def { b"D" } else { b"U" });
-        h.str(model);
-        h.str(var);
-        h.bytes(&line.to_le_bytes());
-        match feeding {
+        h.bytes(&event.time.as_fs().to_le_bytes());
+        h.bytes(if event.kind == EventKind::Def {
+            b"D"
+        } else {
+            b"U"
+        });
+        h.str(&interner.resolve(event.model));
+        h.str(&interner.resolve(event.var));
+        h.bytes(&event.line.to_le_bytes());
+        match interner.prov(event.prov) {
             Some((v, l, m)) => {
                 h.bytes(b"P");
-                h.str(v);
+                h.str(&interner.resolve(v));
                 h.bytes(&l.to_le_bytes());
-                h.str(m);
+                h.str(&interner.resolve(m));
             }
             None => h.bytes(b"N"),
         }
-        h.bytes(&[u8::from(defined)]);
+        h.bytes(&[u8::from(event.defined)]);
         self.events += 1;
-    }
-}
-
-impl EventSink for HashSink {
-    fn record(&mut self, event: Event) {
-        match &event {
-            Event::Def {
-                time,
-                model,
-                var,
-                line,
-            } => self.add(time.as_fs(), true, model, var, *line, None, true),
-            Event::Use {
-                time,
-                model,
-                var,
-                line,
-                feeding,
-                defined,
-            } => self.add(
-                time.as_fs(),
-                false,
-                model,
-                var,
-                *line,
-                feeding
-                    .as_ref()
-                    .map(|p| (p.var.as_str(), p.line, p.model.as_str())),
-                *defined,
-            ),
-        }
-    }
-
-    fn record_compact(&mut self, event: CompactEvent, interner: &Interner) {
-        let model = interner.resolve(event.model);
-        let var = interner.resolve(event.var);
-        let feeding = interner
-            .prov(event.prov)
-            .map(|(v, l, m)| (interner.resolve(v), l, interner.resolve(m)));
-        self.add(
-            event.time.as_fs(),
-            event.kind == EventKind::Def,
-            &model,
-            &var,
-            event.line,
-            feeding.as_ref().map(|(v, l, m)| (&**v, *l, &**m)),
-            event.defined,
-        );
     }
 }
 

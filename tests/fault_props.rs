@@ -14,6 +14,7 @@
 
 mod support;
 
+use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
@@ -113,6 +114,22 @@ fn both_matchers(
     ]
 }
 
+/// `plan` applied to the fixture's log in the automaton's id space,
+/// rendered back into string events.
+fn corrupt(fx: &Fixture, plan: FaultPlan) -> Vec<Event> {
+    let interner = fx.automaton.interner();
+    let log: Vec<CompactEvent> = fx
+        .events
+        .iter()
+        .map(|e| CompactEvent::from_event(e, interner))
+        .collect();
+    FaultInjector::new(plan)
+        .corrupt_log(&log, interner)
+        .into_iter()
+        .map(|e| e.to_event(interner))
+        .collect()
+}
+
 fn arb_plan() -> impl Strategy<Value = FaultPlan> {
     (
         any::<u64>(),
@@ -209,7 +226,7 @@ proptest! {
     #[test]
     fn lenient_subset_on_injected_faults(plan in arb_plan()) {
         let fx = healthy();
-        let corrupted = FaultInjector::new(plan).corrupt_log(&fx.events);
+        let corrupted = corrupt(fx, plan);
         assert_lenient_subset_of_strict(fx, &corrupted);
     }
 
@@ -225,7 +242,7 @@ proptest! {
     fn no_faults_means_identical_modes(seed in any::<u64>()) {
         let fx = healthy();
         let plan = FaultPlan::new().with_seed(seed);
-        let untouched = FaultInjector::new(plan).corrupt_log(&fx.events);
+        let untouched = corrupt(fx, plan);
         prop_assert_eq!(&untouched, &fx.events);
         let strict = both_matchers(fx, &untouched, MatchMode::Strict);
         let lenient = both_matchers(fx, &untouched, MatchMode::Lenient);
@@ -235,4 +252,179 @@ proptest! {
             prop_assert_eq!(lenient.quarantined, 0, "{}", matcher);
         }
     }
+}
+
+/// One line per event: kind, time, `model.var:line`, and for uses the
+/// feeding provenance and whether the sample was defined.
+fn render(events: &[Event]) -> String {
+    let mut out = String::new();
+    for e in events {
+        match e {
+            Event::Def {
+                time,
+                model,
+                var,
+                line,
+            } => writeln!(out, "def {time} {model}.{var}:{line}"),
+            Event::Use {
+                time,
+                model,
+                var,
+                line,
+                feeding,
+                defined,
+            } => {
+                let feeding = feeding
+                    .as_ref()
+                    .map_or(String::new(), |p| format!(" <- {p}"));
+                let defined = if *defined { "" } else { " undefined" };
+                writeln!(out, "use {time} {model}.{var}:{line}{feeding}{defined}")
+            }
+        }
+        .unwrap();
+    }
+    out
+}
+
+/// `render` of the healthy log corrupted by the plan of
+/// `fixed_plan_pins_the_corrupted_log`: drops, duplicates, ghost names,
+/// time warps, reordered pairs, and the two events still held when the
+/// log ends appended last.
+const PINNED_LOG: &str = "\
+use 0 s producer.ip_in:3
+use 0 s producer.ip_in:3
+def 0 s __ghost_model_3.v:3
+def 0 s producer.o:4
+use 0 s producer.o:5
+def 0 s producer.op_y:5
+use 0 s consumer.ip_x:9 <- (op_y, 5, producer)
+def 0 s consumer.got:9
+use 0 s consumer.got:10
+def 5 us producer.v:3
+def 0 s consumer.op_z:10
+use 5 us producer.v:4
+def 5 us producer.op_y:5
+use 5 us producer.o:5
+use 5 us consumer.ip_x:9 <- (op_y, 5, producer)
+def 5 us consumer.got:9
+use 5 us __ghost_model_0.got:10
+def 5 us consumer.op_z:10
+def 5 us consumer.op_z:10
+use 10 us producer.ip_in:3
+use 10 us producer.ip_in:3
+def 10 us producer.v:3
+use 10 us __ghost_model_3.v:4
+def 10 us producer.o:4
+use 10 us producer.o:5
+def 10 us producer.op_y:5
+def 10 us consumer.got:9
+use 10 us consumer.got:10
+def 10 us consumer.op_z:10
+use 15 us producer.ip_in:3
+def 15 us producer.v:3
+use 15 us producer.v:4
+use 15 us producer.o:5
+def 15 us producer.o:4
+def 15 us producer.op_y:5
+def 15 us consumer.got:9
+use 15 us consumer.ip_x:9 <- (op_y, 5, producer)
+use 15 us consumer.__ghost_var_2:10
+def 15 us consumer.op_z:10
+def 20 us producer.v:3
+use 20 us producer.v:4
+def 20 us producer.o:4
+use 20 us producer.o:5
+def 20 us producer.op_y:5
+use 20 us consumer.ip_x:9 <- (op_y, 5, producer)
+def 20 us consumer.got:9
+use 20 us consumer.got:10
+use 20 us consumer.got:10
+def 20 us consumer.op_z:10
+def 20 us consumer.op_z:10
+use 25 us producer.ip_in:3
+def 25 us producer.v:3
+def 25 us producer.o:4
+use 25 us producer.v:4
+use 25 us producer.o:5
+def 25 us producer.op_y:5
+def 25 us producer.op_y:5
+use 25 us consumer.ip_x:9 <- (op_y, 5, producer)
+def 25 us consumer.got:9
+use 30 us producer.ip_in:3
+def 30 us producer.v:3
+def 30 us producer.v:3
+def 30 us producer.o:4
+def 30 us producer.o:4
+use 30 us producer.o:5
+def 30 us producer.op_y:5
+use 30 us consumer.ip_x:9 <- (op_y, 5, producer)
+def 30 us consumer.got:9
+def 30 us consumer.got:9
+use 30 us consumer.got:10
+def 30 us consumer.op_z:10
+use 35 us producer.ip_in:3
+def 35 us producer.v:3
+use 35 us producer.v:4
+def 35 us producer.o:4
+def 35 us producer.o:4
+use 35 us producer.o:5
+def 35 us producer.op_y:5
+def 35 us producer.op_y:5
+use 35 us consumer.ip_x:9 <- (op_y, 5, producer)
+def 35 us consumer.got:9
+def 35 us __ghost_model_2.op_z:10
+use 35 us consumer.got:10
+def 40 us producer.v:3
+use 40 us producer.ip_in:3
+use 40 us producer.o:5
+use 40 us producer.v:4
+def 40 us producer.o:4
+def 40 us producer.op_y:5
+def 40 us consumer.got:9
+use 40 us consumer.ip_x:9 <- (op_y, 5, producer)
+def 40 us consumer.op_z:10
+use 40 us consumer.got:10
+use 45 us producer.ip_in:3
+def 45 us producer.v:3
+def 45 us producer.o:4
+use 45 us producer.v:4
+use 45 us producer.o:5
+use 45 us __ghost_model_1.ip_x:9 <- (op_y, 5, producer)
+def 45 us consumer.got:9
+use 45 us consumer.got:10
+def 45 us consumer.op_z:10
+def 50 us producer.v:3
+use 50 us producer.ip_in:3
+use 50 us producer.v:4
+def 50 us producer.o:4
+use 50 us producer.o:5
+use 50 us consumer.ip_x:9 <- (op_y, 5, producer)
+def 50 us producer.op_y:5
+use 50 us consumer.got:10
+use 50 us consumer.got:10
+def 50 us consumer.op_z:10
+def 55 us producer.v:3
+use 55 us producer.ip_in:3
+def 55 us producer.o:4
+use 55 us producer.v:4
+use 55 us producer.o:5
+def 55 us producer.op_y:5
+def 55 us consumer.op_z:10
+use 55 us consumer.ip_x:9 <- (op_y, 5, producer)
+def 55 us consumer.got:9
+";
+
+/// One fixed plan with every event fault on and a reorder hold of two
+/// pins its exact output, so a rewrite of the fault pipeline must replay
+/// the same RNG draws, ghost names and hold order.
+#[test]
+fn fixed_plan_pins_the_corrupted_log() {
+    let plan = FaultPlan::new()
+        .with_seed(5)
+        .with_drop_events(0.1)
+        .with_duplicate_events(0.1)
+        .with_reorder_events(0.2)
+        .with_reorder_depth(2)
+        .with_corrupt_events(0.1);
+    assert_eq!(render(&corrupt(healthy(), plan)), PINNED_LOG);
 }
