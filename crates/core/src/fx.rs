@@ -1,7 +1,10 @@
-//! A minimal Fx-style hasher for integer-keyed maps on the matching hot
-//! path. `std`'s default SipHash is DoS-resistant but costs ~10× more per
-//! small integer key; the automaton's keys are interned ids we control,
-//! so the cheap multiply-rotate mix is safe and measurably faster. No
+//! A minimal Fx-style hasher, dft-core's one hasher of its own. It keys
+//! the integer-keyed maps on the matching hot path and the static stage's
+//! maps of names and association tuples, and it computes the model and
+//! netlist fingerprints that key the static-artifact cache. `std`'s
+//! default SipHash is DoS-resistant but costs ~10× more per small integer
+//! key; these keys are interned ids, names and tuples of the design under
+//! analysis, so the cheap multiply-rotate mix is the better trade. No
 //! external dependency (the build environment is offline).
 
 use std::collections::{HashMap, HashSet};

@@ -189,12 +189,21 @@ impl SessionArtifacts {
     }
 }
 
+/// Backoff multiplier per further retry (`base`, `2·base`, `4·base`, …).
+const BACKOFF_MULTIPLIER: u32 = 2;
+
+/// Factor applied to every finite [`RunLimits`] budget (activations,
+/// events, wall) per retry, so a run that timed out under a tight budget
+/// gets escalating headroom. Absolute deadlines are *not* escalated — a
+/// served request's deadline stays authoritative.
+const BUDGET_ESCALATION: u32 = 2;
+
 /// Exponential-backoff retry policy for the per-testcase supervisor
 /// ([`DftSession::run_testcase_retrying`]): transient failures —
 /// [`RunOutcome::Panicked`] and [`RunOutcome::TimedOut`] — are rerun up to
-/// [`max_retries`] times with escalating budgets, while
-/// [`RunOutcome::Failed`] (a deterministic elaboration/simulation error)
-/// is permanent immediately.
+/// [`max_retries`] times, each with twice the previous backoff and twice
+/// every finite budget, while [`RunOutcome::Failed`] (a deterministic
+/// elaboration/simulation error) is permanent immediately.
 ///
 /// [`max_retries`]: RetryPolicy::max_retries
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -203,13 +212,6 @@ pub struct RetryPolicy {
     pub max_retries: u32,
     /// Backoff slept before the first retry.
     pub backoff_base: Duration,
-    /// Backoff multiplier per further retry (`base`, `base·m`, `base·m²`…).
-    pub backoff_multiplier: u32,
-    /// Factor applied to every finite [`RunLimits`] budget (activations,
-    /// events, wall) per retry, so a run that timed out under a tight
-    /// budget gets escalating headroom. Absolute deadlines are *not*
-    /// escalated — a served request's deadline stays authoritative.
-    pub budget_escalation: u32,
     /// Whether the supervisor actually sleeps its backoffs. Tests disable
     /// this and assert on the recorded schedule instead.
     pub sleep: bool,
@@ -220,8 +222,6 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_retries: 2,
             backoff_base: Duration::from_millis(50),
-            backoff_multiplier: 2,
-            budget_escalation: 2,
             sleep: true,
         }
     }
@@ -237,25 +237,21 @@ impl RetryPolicy {
     }
 
     /// The backoff slept before retry number `retry` (1-based):
-    /// `base · multiplier^(retry-1)`, saturating.
+    /// `base · 2^(retry-1)`, saturating.
     pub fn backoff_before(&self, retry: u32) -> Duration {
-        let factor = self
-            .backoff_multiplier
+        let factor = BACKOFF_MULTIPLIER
             .checked_pow(retry.saturating_sub(1))
             .unwrap_or(u32::MAX);
         self.backoff_base.saturating_mul(factor)
     }
 
     /// `limits` with every finite budget escalated for attempt number
-    /// `attempt` (0-based): factor `budget_escalation^attempt`, saturating.
+    /// `attempt` (0-based): factor `2^attempt`, saturating.
     pub fn escalate(&self, limits: &RunLimits, attempt: u32) -> RunLimits {
         if attempt == 0 {
             return *limits;
         }
-        let factor = self
-            .budget_escalation
-            .checked_pow(attempt)
-            .unwrap_or(u32::MAX);
+        let factor = BUDGET_ESCALATION.checked_pow(attempt).unwrap_or(u32::MAX);
         let mut out = *limits;
         out.max_activations = limits
             .max_activations

@@ -24,7 +24,8 @@ use std::sync::{Arc, Mutex};
 
 use dft_core::{obs, SessionArtifacts};
 
-/// FNV-1a, the same zero-dependency hash the interner uses.
+/// 64-bit FNV-1a over bytes: a zero-dependency hash that keys this cache
+/// by a request's design material.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -547,7 +547,6 @@ fn handle_analyse(shared: &Arc<Shared>, request: &AnalyseRequest) -> String {
         max_retries: request.retries.unwrap_or(shared.config.default_retries),
         backoff_base: shared.config.retry_backoff,
         sleep: shared.config.retry_sleep,
-        ..RetryPolicy::default()
     };
     let mut limits = RunLimits::none();
     if let Some(n) = request.max_activations {

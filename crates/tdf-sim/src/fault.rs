@@ -420,9 +420,10 @@ impl TdfModule for CorruptValues {
 
 /// Wraps a module so every event it emits passes through the plan's event
 /// faults before reaching the real sink — the online counterpart of
-/// [`FaultInjector::corrupt_log`]. The reorder hold persists across
-/// activations; `initialize()` clears it, dropping any held events, and
-/// reseeds the RNG.
+/// [`FaultInjector::corrupt_log`]. Reordering acts within one activation:
+/// the events still held when `processing()` returns are delivered then,
+/// as `corrupt_log` appends those held at the end of its log, so no event
+/// is lost to the hold. `initialize()` reseeds the RNG.
 pub struct FaultyEvents {
     inner: Box<dyn TdfModule>,
     plan: FaultPlan,
@@ -444,8 +445,8 @@ impl FaultyEvents {
     }
 }
 
-/// Borrowing event-fault tap used by [`FaultyEvents`]: state lives in the
-/// wrapper so reordering works across activations.
+/// Borrowing event-fault tap used by [`FaultyEvents`]: the RNG and the
+/// hold's buffer live in the wrapper, so an activation allocates nothing.
 struct TapSink<'a> {
     inner: &'a mut dyn EventSink,
     plan: &'a FaultPlan,
@@ -474,7 +475,6 @@ impl TdfModule for FaultyEvents {
     }
     fn initialize(&mut self) {
         self.rng = FaultRng::new(self.plan.seed);
-        self.held.clear();
         self.inner.initialize();
     }
     fn processing(&mut self, ctx: &mut ProcessingCtx<'_>) {
@@ -494,6 +494,9 @@ impl TdfModule for FaultyEvents {
             interner: ctx.interner,
         };
         self.inner.processing(&mut derived);
+        for event in self.held.drain(..) {
+            ctx.sink.record_compact(event, ctx.interner);
+        }
     }
 }
 
@@ -697,5 +700,36 @@ mod tests {
         let inj = FaultInjector::new(FaultPlan::new().with_seed(1).with_reorder_events(1.0));
         let out = inj.corrupt_log(&sample_log(3, &i), &i);
         assert_eq!(lines(&out), [5, 4, 6], "no event lost to the hold");
+    }
+
+    #[test]
+    fn faulty_events_loses_no_event_to_the_hold() {
+        // At probability 1 with a hold of one, every activation's single
+        // tap event is held; the end of the activation delivers it, so a
+        // run of five activations records five events, as `corrupt_log`
+        // of five events returns five.
+        use crate::cluster::Cluster;
+        use crate::components::ParallelPrint;
+        use crate::module::RecordingSink;
+        use crate::sim::Simulator;
+        use crate::DefSite;
+
+        let plan = FaultPlan::new().with_seed(1).with_reorder_events(1.0);
+        let mut c = Cluster::new("top");
+        let src = FnSource::new("src", SimTime::from_us(1), |_| Value::Double(1.0));
+        let src = c.add_module(Box::new(src)).unwrap();
+        let tap = ParallelPrint::new("pp", DefSite::new("top", 76));
+        let tap = c
+            .add_module(Box::new(FaultyEvents::new(Box::new(tap), plan.clone())))
+            .unwrap();
+        c.connect(src, "op_out", tap, "tdf_i").unwrap();
+        let mut sim = Simulator::new(c).unwrap();
+        let mut sink = RecordingSink::new();
+        sim.run_periods(5, &mut sink).unwrap();
+        assert_eq!(sink.events.len(), 5, "the hold is delivered");
+
+        let i = Interner::new();
+        let offline = FaultInjector::new(plan).corrupt_log(&sample_log(5, &i), &i);
+        assert_eq!(offline.len(), 5);
     }
 }

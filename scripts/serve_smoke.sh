@@ -40,7 +40,7 @@ grep -q '"cache":"warm"' "$out/warm.json"
 # SIGTERM mid-batch: a deliberately slow request is in flight when the
 # signal lands; the drain must answer it before the process exits.
 "$bin/dft-client" "$addr" \
-  '{"op":"analyse","id":"slow","design":"probe","deadline_ms":3000,"retries":0,"testcases":[{"name":"RUNAWAY","duration_us":30000000,"channels":{"level":{"kind":"constant","level":1}}}]}' \
+  '{"op":"analyse","id":"slow","design":"probe","deadline_ms":3000,"retries":0,"testcases":[{"name":"RUNAWAY","duration_us":3000000000,"channels":{"level":{"kind":"constant","level":1}}}]}' \
   >"$out/slow.json" &
 client_pid=$!
 sleep 0.5

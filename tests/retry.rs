@@ -86,8 +86,6 @@ fn policy() -> RetryPolicy {
     RetryPolicy {
         max_retries: 3,
         backoff_base: Duration::from_millis(10),
-        backoff_multiplier: 2,
-        budget_escalation: 2,
         sleep: false, // assert on the recorded schedule instead
     }
 }
