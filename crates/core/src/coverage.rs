@@ -102,7 +102,8 @@ impl std::fmt::Display for RunOutcome {
 pub struct TestcaseResult {
     /// Testcase name (e.g. `TC1`).
     pub name: String,
-    /// Associations exercised by this testcase (static or not).
+    /// Associations exercised by this testcase (static or not), by name.
+    /// Coverage reads [`TestcaseResult::exercised_idx`] instead.
     pub exercised: HashSet<Association>,
     /// Definition sites `(model, var, line)` that executed at least once.
     pub defs_executed: HashSet<(String, String, u32)>,
@@ -112,12 +113,12 @@ pub struct TestcaseResult {
     /// computed from a partial event log.
     pub outcome: RunOutcome,
     /// Exercised static associations as a bitset over
-    /// [`StaticAnalysis::associations`] indices, when the run was matched
-    /// by a [`MatchAutomaton`](crate::MatchAutomaton). Must agree with
-    /// `exercised` restricted to the static set; [`Coverage::evaluate`]
-    /// uses it to skip the per-association hash probes. `None` (e.g. a
-    /// hand-built result) falls back to probing `exercised`.
-    pub exercised_idx: Option<BitSet>,
+    /// [`StaticAnalysis::associations`] indices, as the session's
+    /// [`MatchAutomaton`](crate::MatchAutomaton) produced it: the only
+    /// record [`Coverage::evaluate`] reads. It agrees with `exercised`
+    /// restricted to the static set. A run that never simulated (the
+    /// default, capacity 0) covers nothing.
+    pub exercised_idx: BitSet,
     /// Per-assertion verdicts, in spec order, when the session ran with
     /// assertions attached ([`DftSession::with_assertions`]); empty
     /// otherwise. Degraded runs keep observed `Fails` verdicts but report
@@ -168,26 +169,29 @@ pub struct Coverage {
 impl Coverage {
     /// Evaluates `runs` against the static association set.
     ///
-    /// Exercised associations that the static stage did not predict (static
-    /// analysis is an over- *and* under-approximation at the boundaries,
-    /// e.g. member initial values) are ignored, as in the paper's tool.
-    /// Runs carrying a valid [`TestcaseResult::exercised_idx`] bitset are
-    /// adopted wholesale; the rest are probed association by association.
+    /// Each run's column is its [`TestcaseResult::exercised_idx`] bitset,
+    /// so exercised associations that the static stage did not predict
+    /// (static analysis is an over- *and* under-approximation at the
+    /// boundaries, e.g. member initial values) are ignored, as in the
+    /// paper's tool. A bitset of capacity 0 — a run that never simulated,
+    /// such as a placeholder for a testcase that failed to build — covers
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a run's bitset has another nonzero capacity than the
+    /// number of static associations (it indexes another static
+    /// analysis).
     pub fn evaluate(statics: &StaticAnalysis, runs: &[TestcaseResult]) -> Coverage {
         let associations = statics.associations.clone();
         let n = associations.len();
         let covered: Vec<BitSet> = runs
             .iter()
-            .map(|r| match &r.exercised_idx {
-                Some(bits) if bits.capacity() == n => bits.clone(),
-                _ => {
-                    let mut bits = BitSet::new(n);
-                    for (i, c) in associations.iter().enumerate() {
-                        if r.exercised.contains(&c.assoc) {
-                            bits.insert(i);
-                        }
-                    }
-                    bits
+            .map(|r| match r.exercised_idx.capacity() {
+                0 => BitSet::new(n),
+                cap => {
+                    assert_eq!(cap, n, "run {:?} indexes another static analysis", r.name);
+                    r.exercised_idx.clone()
                 }
             })
             .collect();
@@ -416,7 +420,7 @@ impl Coverage {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn statics_with(assocs: Vec<(Association, Classification)>) -> StaticAnalysis {
@@ -430,10 +434,22 @@ mod tests {
         }
     }
 
-    fn run(name: &str, exercised: &[Association]) -> TestcaseResult {
+    /// A run of `st`'s session that exercised `exercised`.
+    pub(crate) fn run(
+        st: &StaticAnalysis,
+        name: &str,
+        exercised: &[Association],
+    ) -> TestcaseResult {
+        let mut bits = BitSet::new(st.associations.len());
+        for (i, c) in st.associations.iter().enumerate() {
+            if exercised.contains(&c.assoc) {
+                bits.insert(i);
+            }
+        }
         TestcaseResult {
             name: name.into(),
             exercised: exercised.iter().cloned().collect(),
+            exercised_idx: bits,
             ..TestcaseResult::default()
         }
     }
@@ -449,7 +465,7 @@ mod tests {
             (a("x", 1, 3), Classification::Strong),
             (a("y", 4, 5), Classification::Firm),
         ]);
-        let cov = Coverage::evaluate(&st, &[run("TC1", &[a("x", 1, 2)])]);
+        let cov = Coverage::evaluate(&st, &[run(&st, "TC1", &[a("x", 1, 2)])]);
         assert_eq!(cov.class_ratio(Classification::Strong), (1, 2));
         assert_eq!(cov.class_ratio(Classification::Firm), (0, 1));
         assert_eq!(cov.class_percent(Classification::Strong), Some(50.0));
@@ -467,7 +483,10 @@ mod tests {
         ]);
         let cov = Coverage::evaluate(
             &st,
-            &[run("TC1", &[a("x", 1, 2)]), run("TC2", &[a("y", 4, 5)])],
+            &[
+                run(&st, "TC1", &[a("x", 1, 2)]),
+                run(&st, "TC2", &[a("y", 4, 5)]),
+            ],
         );
         assert!(cov.is_covered(0) && cov.is_covered(1));
         assert!(cov.is_covered_by(0, 0) && !cov.is_covered_by(0, 1));
@@ -483,7 +502,7 @@ mod tests {
     #[test]
     fn exercised_outside_static_set_ignored() {
         let st = statics_with(vec![(a("x", 1, 2), Classification::Strong)]);
-        let cov = Coverage::evaluate(&st, &[run("TC1", &[a("ghost", 9, 9)])]);
+        let cov = Coverage::evaluate(&st, &[run(&st, "TC1", &[a("ghost", 9, 9)])]);
         assert_eq!(cov.total_ratio(), (0, 1));
     }
 
@@ -495,9 +514,9 @@ mod tests {
             (a("x", 7, 8), Classification::Strong),
         ]);
         // Covering one use of def@1 but nothing of def@7.
-        let cov = Coverage::evaluate(&st, &[run("TC1", &[a("x", 1, 3)])]);
+        let cov = Coverage::evaluate(&st, &[run(&st, "TC1", &[a("x", 1, 3)])]);
         assert!(!cov.satisfies(Criterion::AllDefs));
-        let cov2 = Coverage::evaluate(&st, &[run("TC1", &[a("x", 1, 3), a("x", 7, 8)])]);
+        let cov2 = Coverage::evaluate(&st, &[run(&st, "TC1", &[a("x", 1, 3), a("x", 7, 8)])]);
         assert!(cov2.satisfies(Criterion::AllDefs));
         assert!(
             !cov2.satisfies(Criterion::AllStrong),
@@ -509,7 +528,7 @@ mod tests {
     #[test]
     fn empty_class_is_vacuously_satisfied() {
         let st = statics_with(vec![(a("x", 1, 2), Classification::Strong)]);
-        let cov = Coverage::evaluate(&st, &[run("TC1", &[a("x", 1, 2)])]);
+        let cov = Coverage::evaluate(&st, &[run(&st, "TC1", &[a("x", 1, 2)])]);
         assert!(cov.satisfies(Criterion::AllPFirm));
         assert!(cov.satisfies(Criterion::AllPWeak));
         assert!(cov.satisfies(Criterion::AllDataflow));
@@ -522,12 +541,12 @@ mod tests {
             (a("x", 1, 3), Classification::Strong),
             (a("y", 4, 5), Classification::Firm),
         ]);
-        let earlier = Coverage::evaluate(&st, &[run("TC1", &[a("x", 1, 2)])]);
+        let earlier = Coverage::evaluate(&st, &[run(&st, "TC1", &[a("x", 1, 2)])]);
         let later = Coverage::evaluate(
             &st,
             &[
-                run("TC1", &[a("x", 1, 2)]),
-                run("TC2", &[a("x", 1, 3), a("y", 4, 5)]),
+                run(&st, "TC1", &[a("x", 1, 2)]),
+                run(&st, "TC2", &[a("x", 1, 3), a("y", 4, 5)]),
             ],
         );
         let delta = later.delta(&earlier);
@@ -563,6 +582,35 @@ mod tests {
         let c1 = Coverage::evaluate(&st1, &[]);
         let c2 = Coverage::evaluate(&st2, &[]);
         let _ = c2.delta(&c1);
+    }
+
+    #[test]
+    #[should_panic(expected = "indexes another static analysis")]
+    fn evaluate_rejects_a_bitset_of_another_static_analysis() {
+        let st1 = statics_with(vec![(a("x", 1, 2), Classification::Strong)]);
+        let st2 = statics_with(vec![
+            (a("x", 1, 2), Classification::Strong),
+            (a("y", 4, 5), Classification::Firm),
+        ]);
+        let _ = Coverage::evaluate(&st2, &[run(&st1, "TC1", &[a("x", 1, 2)])]);
+    }
+
+    #[test]
+    fn a_run_that_never_simulated_covers_nothing() {
+        let st = statics_with(vec![(a("x", 1, 2), Classification::Strong)]);
+        let failed = RunOutcome::Failed {
+            error: "build failed".into(),
+        };
+        let placeholder = TestcaseResult {
+            name: "TC2".into(),
+            outcome: failed.clone(),
+            ..TestcaseResult::default()
+        };
+        let cov = Coverage::evaluate(&st, &[run(&st, "TC1", &[a("x", 1, 2)]), placeholder]);
+        assert!(cov.is_covered_by(0, 0) && !cov.is_covered_by(0, 1));
+        assert_eq!(cov.testcase_names(), ["TC1", "TC2"]);
+        assert_eq!(cov.outcomes(), [RunOutcome::Ok, failed]);
+        assert_eq!(cov.degraded(), [("TC2", &cov.outcomes()[1])]);
     }
 
     #[test]

@@ -161,14 +161,11 @@ mod tests {
 
     fn run_with(exercised: &[Association], defs: &[(&str, &str, u32)]) -> TestcaseResult {
         TestcaseResult {
-            name: "TC1".into(),
-            exercised: exercised.iter().cloned().collect(),
             defs_executed: defs
                 .iter()
                 .map(|(m, v, l)| (m.to_string(), v.to_string(), *l))
                 .collect(),
-            warnings: Vec::new(),
-            ..TestcaseResult::default()
+            ..crate::coverage::tests::run(&statics(), "TC1", exercised)
         }
     }
 

@@ -9,10 +9,10 @@
 //!   hold the start line, and per-slot flags (one slot per row and name)
 //!   the lenient-mode vocabulary and the input ports (the only
 //!   [`VarKind`](tdf_interp::VarKind) distinction matching cares about);
-//! * `assoc_first` maps a fully-interned association key straight to its
-//!   index in [`StaticAnalysis::associations`], so coverage is a bitset OR
-//!   instead of a `HashSet<Association>` probe. Every association is
-//!   tracked; subsumption stays a static report.
+//! * `assoc_index` maps a fully-interned association key straight to its
+//!   index in [`StaticAnalysis::associations`], so a run's coverage is a
+//!   bitset built without a `HashSet<Association>` probe. Every
+//!   association is tracked; subsumption stays a static report.
 //!
 //! A session's automaton reads each model's vocabulary from the
 //! `processing()` CFG the static stage's per-model artifact already holds;
@@ -24,10 +24,12 @@
 //! simulator's [`EventSink`]: the kernel hands it each event through one
 //! dynamic call.
 //!
-//! The cursor keeps the first-occurrence record of every def site and
-//! def/use pair in hash sets, and `String`s are only materialised on a
-//! site's *first* occurrence (warnings, `defs_executed`, `exercised`). An
-//! event it has already matched costs array lookups only:
+//! The cursor's one record of what a run exercised is two hash sets of
+//! interned ids: the def sites and the def/use pairs seen so far. Only
+//! warnings are rendered while the run lasts; [`MatchCursor::finish`]
+//! derives the coverage bitset, the named `exercised` set and
+//! `defs_executed` from the two sets in one pass. An event it has
+//! already matched costs array lookups only:
 //!
 //! * the lenient-mode checks read one flag byte per `(row, var)` slot and
 //!   one timestamp per row;
@@ -74,9 +76,6 @@ const NO_ROW: u32 = u32::MAX;
 /// Sentinel for "no pending definition" in the dense last-def table.
 const NO_DEF: u32 = u32::MAX;
 
-/// Sentinel ending an `assoc_next` chain.
-const NO_INDEX: u32 = u32::MAX;
-
 /// Slot flag: lenient mode admits the variable in the row's model — it is
 /// in the model's vocabulary, or the model has none.
 const ADMIT: u8 = 1;
@@ -117,12 +116,9 @@ pub struct MatchAutomaton {
     /// `(row, var_sym, start_line)` seeds for elaboration-initialised
     /// members, in declaration order (later duplicates overwrite).
     member_seeds: Vec<(u32, u32, u32)>,
-    /// Fully-interned association key -> its lowest index into
+    /// Fully-interned association key -> its index into
     /// [`StaticAnalysis::associations`].
-    assoc_first: FxHashMap<AssocKey, u32>,
-    /// Per association index, the next index with the same key
-    /// (`NO_INDEX` ends the chain).
-    assoc_next: Vec<u32>,
+    assoc_index: FxHashMap<AssocKey, u32>,
     n_assocs: usize,
 }
 
@@ -161,15 +157,7 @@ impl fmt::Debug for MatchAutomaton {
             .iter()
             .map(|&(r, var, line)| (row_model[r as usize].clone(), name(var), line))
             .collect();
-        let mut assocs: Vec<_> = self
-            .assoc_first
-            .iter()
-            .map(|(k, &first)| {
-                let next = |&i: &u32| Some(self.assoc_next[i as usize]).filter(|&n| n != NO_INDEX);
-                let indices: Vec<u32> = std::iter::successors(Some(first), next).collect();
-                (key(k), indices)
-            })
-            .collect();
+        let mut assocs: Vec<_> = self.assoc_index.iter().map(|(k, &i)| (key(k), i)).collect();
         assocs.sort();
         f.debug_struct("MatchAutomaton")
             .field("frozen", &frozen)
@@ -199,8 +187,9 @@ struct LogState {
     warned_models: FxHashSet<u32>,
     warned_times: FxHashSet<u32>,
     warned_vars: FxHashSet<(u32, u32)>,
-    /// First-occurrence gates for the materialised outputs.
+    /// Def sites `(model, var, line)` executed so far.
     seen_def: FxHashSet<(u32, u32, u32)>,
+    /// Def/use pairs exercised so far.
     seen_pair: FxHashSet<AssocKey>,
     /// `[slot, line]` of def sites in `seen_def`.
     def_memo: Memo<2>,
@@ -260,6 +249,9 @@ impl MatchAutomaton {
     /// Builds the automaton for `design` + `statics`, interning every name
     /// either can mention and freezing the id space. Each model's
     /// `processing()` CFG is built here, once.
+    ///
+    /// `statics` lists each association tuple once (the static merge
+    /// deduplicates them), so every key maps to exactly one index.
     pub fn new(design: &Design, statics: &StaticAnalysis) -> MatchAutomaton {
         Self::build(design, statics, |_| None)
     }
@@ -451,18 +443,9 @@ impl MatchAutomaton {
             }
         }
 
-        // `assoc_first` holds the lowest index of each key and
-        // `assoc_next` chains the rest in ascending order (a key repeats
-        // only in a non-deduplicated association list).
         let n_assocs = keys.len();
-        let mut assoc_first: FxHashMap<AssocKey, u32> =
-            FxHashMap::with_capacity_and_hasher(n_assocs, Default::default());
-        let mut assoc_next = vec![NO_INDEX; n_assocs];
-        for (i, &key) in keys.iter().enumerate().rev() {
-            if let Some(next) = assoc_first.insert(key, i as u32) {
-                assoc_next[i] = next;
-            }
-        }
+        let assoc_index: FxHashMap<AssocKey, u32> = keys.into_iter().zip(0..).collect();
+        debug_assert_eq!(assoc_index.len(), n_assocs, "an association repeats");
 
         MatchAutomaton {
             interner,
@@ -473,8 +456,7 @@ impl MatchAutomaton {
             row_has_vocab,
             slot_flags,
             member_seeds,
-            assoc_first,
-            assoc_next,
+            assoc_index,
             n_assocs,
         }
     }
@@ -560,9 +542,6 @@ impl MatchAutomaton {
             automaton: self,
             mode,
             st,
-            bits: BitSet::new(self.n_assocs),
-            exercised: HashSet::new(),
-            defs_executed: HashSet::new(),
             warnings: Vec::new(),
             quarantined: 0,
             events: 0,
@@ -596,16 +575,13 @@ impl MatchAutomaton {
 /// half of [`MatchAutomaton::analyse_with_coverage`], split out so the
 /// simulator can feed events as it produces them (the cursor is an
 /// [`EventSink`]) with no materialized log. Memory is O(automaton state)
-/// — the last-def table, fixed-size memos, the once-sets and the coverage
-/// bitset — independent of how many events are fed.
+/// — the last-def table, fixed-size memos and the first-occurrence sets
+/// of interned ids — independent of how many events are fed.
 #[derive(Debug)]
 pub struct MatchCursor<'a> {
     automaton: &'a MatchAutomaton,
     mode: MatchMode,
     st: LogState,
-    bits: BitSet,
-    exercised: HashSet<Association>,
-    defs_executed: HashSet<(String, String, u32)>,
     warnings: Vec<DynamicWarning>,
     quarantined: u64,
     events: u64,
@@ -650,13 +626,8 @@ impl MatchCursor<'_> {
         match (ev.kind, fed) {
             (EventKind::Def, _) => {
                 st.set_last_def(slot, ev.model, ev.var, ev.line);
-                let seen = slot.is_some_and(|s| st.def_memo.hit([s as u32, ev.line]));
-                if !seen && st.seen_def.insert((ev.model.0, ev.var.0, ev.line)) {
-                    self.defs_executed.insert((
-                        automaton.name(ev.model),
-                        automaton.name(ev.var),
-                        ev.line,
-                    ));
+                if !slot.is_some_and(|s| st.def_memo.hit([s as u32, ev.line])) {
+                    st.seen_def.insert((ev.model.0, ev.var.0, ev.line));
                 }
             }
             (EventKind::Use, Some(fed)) => {
@@ -664,10 +635,7 @@ impl MatchCursor<'_> {
                     return;
                 }
                 let (pv, pl, pm) = fed.site;
-                if st.seen_def.insert((pm.0, pv.0, pl)) {
-                    self.defs_executed
-                        .insert((automaton.name(pm), automaton.name(pv), pl));
-                }
+                st.seen_def.insert((pm.0, pv.0, pl));
                 self.exercise(fed.site, (ev.line, ev.model));
             }
             (EventKind::Use, None) => {
@@ -777,36 +745,22 @@ impl MatchCursor<'_> {
     }
 
     /// Records the def site `(var, def_line, def_model)` paired with the
-    /// use site `(use_line, use_model)`: sets its coverage bit(s) and
-    /// materialises the [`Association`] on first occurrence.
+    /// use site `(use_line, use_model)`.
     fn exercise(
         &mut self,
         (var, def_line, def_model): (Sym, u32, Sym),
         (use_line, use_model): (u32, Sym),
     ) {
-        let key = (var.0, def_line, def_model.0, use_line, use_model.0);
-        if !self.st.seen_pair.insert(key) {
-            return;
-        }
-        let automaton = self.automaton;
-        let mut i = automaton.assoc_first.get(&key).copied().unwrap_or(NO_INDEX);
-        while i != NO_INDEX {
-            self.bits.insert(i as usize);
-            i = automaton.assoc_next[i as usize];
-        }
-        self.exercised.insert(Association::new(
-            automaton.name(var),
-            def_line,
-            automaton.name(def_model),
-            use_line,
-            automaton.name(use_model),
-        ));
+        self.st
+            .seen_pair
+            .insert((var.0, def_line, def_model.0, use_line, use_model.0));
     }
 
     /// Finalizes the pass: records the aggregate `match.*` counters and
-    /// returns the result plus coverage bitset — byte-identical to
-    /// [`MatchAutomaton::analyse_with_coverage`] over the same event
-    /// sequence.
+    /// derives the result and the coverage bitset over
+    /// [`StaticAnalysis::associations`] from the first-occurrence sets —
+    /// byte-identical to [`MatchAutomaton::analyse_with_coverage`] over
+    /// the same event sequence.
     pub fn finish(self) -> (DynamicResult, BitSet) {
         static EVENTS_MATCHED: obs::Counter = obs::Counter::new("match.events");
         static STREAMED: obs::Counter = obs::Counter::new("match.streamed_events");
@@ -814,16 +768,39 @@ impl MatchCursor<'_> {
         static QUARANTINED: obs::Counter = obs::Counter::new("match.quarantined_events");
         EVENTS_MATCHED.add(self.events);
         STREAMED.add(self.streamed);
-        ASSOC_EXERCISED.add(self.exercised.len() as u64);
+        ASSOC_EXERCISED.add(self.st.seen_pair.len() as u64);
         QUARANTINED.add(self.quarantined);
+        let automaton = self.automaton;
+        let name = |sym: u32| automaton.name(Sym(sym));
+        let mut bits = BitSet::new(automaton.n_assocs);
+        let mut exercised = HashSet::with_capacity(self.st.seen_pair.len());
+        for &key in &self.st.seen_pair {
+            if let Some(&i) = automaton.assoc_index.get(&key) {
+                bits.insert(i as usize);
+            }
+            let (var, def_line, def_model, use_line, use_model) = key;
+            exercised.insert(Association::new(
+                name(var),
+                def_line,
+                name(def_model),
+                use_line,
+                name(use_model),
+            ));
+        }
+        let defs_executed = self
+            .st
+            .seen_def
+            .iter()
+            .map(|&(model, var, line)| (name(model), name(var), line))
+            .collect();
         (
             DynamicResult {
-                exercised: self.exercised,
-                defs_executed: self.defs_executed,
+                exercised,
+                defs_executed,
                 warnings: self.warnings,
                 quarantined: self.quarantined,
             },
-            self.bits,
+            bits,
         )
     }
 }

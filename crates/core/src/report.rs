@@ -306,7 +306,7 @@ pub fn render_subsumption(statics: &StaticAnalysis, cov: &Coverage) -> String {
 mod tests {
     use super::*;
     use crate::assoc::{Association, ClassifiedAssoc};
-    use crate::coverage::TestcaseResult;
+    use crate::coverage::tests::run;
 
     fn coverage() -> Coverage {
         let st = StaticAnalysis {
@@ -327,23 +327,15 @@ mod tests {
             lints: Vec::new(),
             subsumption: Default::default(),
         };
-        let tc1 = TestcaseResult {
-            name: "TC1".into(),
-            exercised: [Association::new("tmpr", 4, "TS", 9, "TS")]
-                .into_iter()
-                .collect(),
-            ..TestcaseResult::default()
-        };
-        let tc2 = TestcaseResult {
-            name: "TC2".into(),
-            exercised: [
+        let tc1 = run(&st, "TC1", &[Association::new("tmpr", 4, "TS", 9, "TS")]);
+        let tc2 = run(
+            &st,
+            "TC2",
+            &[
                 Association::new("tmpr", 4, "TS", 9, "TS"),
                 Association::new("op_mux_out", 77, "sense_top", 79, "sense_top"),
-            ]
-            .into_iter()
-            .collect(),
-            ..TestcaseResult::default()
-        };
+            ],
+        );
         Coverage::evaluate(&st, &[tc1, tc2])
     }
 
@@ -414,13 +406,7 @@ mod tests {
             dropped,
             implied_by: vec![(0, implied)],
         };
-        let tc = TestcaseResult {
-            name: "TC1".into(),
-            exercised: [Association::new("tmpr", 4, "TS", 9, "TS")]
-                .into_iter()
-                .collect(),
-            ..TestcaseResult::default()
-        };
+        let tc = run(&st, "TC1", &[Association::new("tmpr", 4, "TS", 9, "TS")]);
         let cov = Coverage::evaluate(&st, &[tc]);
         let s = render_subsumption(&st, &cov);
         assert!(s.contains("raw associations:     3"));

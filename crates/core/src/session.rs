@@ -212,9 +212,6 @@ pub struct RetryPolicy {
     pub max_retries: u32,
     /// Backoff slept before the first retry.
     pub backoff_base: Duration,
-    /// Whether the supervisor actually sleeps its backoffs. Tests disable
-    /// this and assert on the recorded schedule instead.
-    pub sleep: bool,
 }
 
 impl Default for RetryPolicy {
@@ -222,7 +219,6 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_retries: 2,
             backoff_base: Duration::from_millis(50),
-            sleep: true,
         }
     }
 }
@@ -491,7 +487,6 @@ impl DftSession {
         let monitor = self.monitor_bank();
         let mut cursor = self.automaton().cursor(MatchMode::Lenient);
         let run = run_isolated(
-            name,
             cluster,
             duration,
             &RunLimits::none(),
@@ -546,7 +541,6 @@ impl DftSession {
             let monitor = self.monitor_bank();
             let mut cursor = self.automaton().cursor(MatchMode::Lenient);
             let run = run_isolated(
-                &tc.name,
                 tc.cluster,
                 tc.duration,
                 &limits,
@@ -632,7 +626,7 @@ impl DftSession {
                     backoff: Some(backoff),
                 });
                 RETRIES.add(1);
-                if policy.sleep && backoff > Duration::ZERO {
+                if backoff > Duration::ZERO {
                     std::thread::sleep(backoff);
                 }
                 attempt += 1;
@@ -696,8 +690,9 @@ impl DftSession {
     /// Snapshot of the observability registry: per-stage wall times
     /// (`stage.schedule` / `stage.simulate` / `stage.static` /
     /// `stage.match`), reachability-cache hit/miss counts
-    /// (`cfg.reach_cache.*`), kernel counters (`sim.*`) and per-testcase
-    /// series (`testcase.<name>.events` / `testcase.<name>.wall`).
+    /// (`cfg.reach_cache.*`), kernel counters (`sim.*`) and the
+    /// per-testcase series `testcase.events` / `testcase.wall` (one sample
+    /// per testcase run, whatever its name).
     ///
     /// Empty unless the process runs with `DFT_METRICS=1` (or
     /// `DFT_TRACE=1`); render with [`MetricsReport::to_text`] or
@@ -727,8 +722,8 @@ fn finalize_bank(bank: Option<SharedBank>, end: SimTime, degraded: bool) -> Vec<
 /// The session's one run path: elaborates `cluster` onto the design-wide
 /// `interner` and simulates it for `duration` under `limits`, streaming
 /// every event into `cursor` (and every sample into `monitor`, when
-/// assertions are attached), then records the `testcase.<name>.*`
-/// metrics. Errors come back as `Ok(Err(_))`, a module panic as `Err`.
+/// assertions are attached), then records the `testcase.*` metrics.
+/// Errors come back as `Ok(Err(_))`, a module panic as `Err`.
 ///
 /// Unwind-safety (the reason `AssertUnwindSafe` is sound here): the
 /// closure owns the cluster and the simulator built from it, so a panic
@@ -740,7 +735,6 @@ fn finalize_bank(bank: Option<SharedBank>, end: SimTime, degraded: bool) -> Vec<
 /// coverage. The monitor bank is fed one sample at a time under its
 /// mutex, and a panicked run is finalized as degraded anyway.
 fn run_isolated(
-    name: &str,
     mut cluster: Cluster,
     duration: SimTime,
     limits: &RunLimits,
@@ -765,8 +759,8 @@ fn run_isolated(
         Ok(())
     }));
     if let Some(t0) = started {
-        obs::counter_add(&format!("testcase.{name}.events"), cursor.events_fed());
-        obs::observe_duration(&format!("testcase.{name}.wall"), t0.elapsed());
+        obs::counter_add("testcase.events", cursor.events_fed());
+        obs::observe_duration("testcase.wall", t0.elapsed());
     }
     run
 }
@@ -791,7 +785,7 @@ fn finish_run(
         defs_executed: result.defs_executed,
         warnings: result.warnings,
         outcome,
-        exercised_idx: Some(bits),
+        exercised_idx: bits,
         verdicts,
     }
 }
@@ -1180,13 +1174,19 @@ void B::processing()
             assert!(t.count >= 1, "{stage} recorded no spans");
         }
         assert!(
-            report.counter("testcase.TC_metrics_probe.events") > 0,
+            report.counter("testcase.events") > 0,
             "per-testcase event count missing"
         );
         assert!(
-            report.timer("testcase.TC_metrics_probe.wall").is_some(),
+            report.timer("testcase.wall").is_some(),
             "per-testcase wall timer missing"
         );
+        // A testcase's name is client input (serve's custom testcases), so
+        // it must not mint metric names in the process-global registry.
+        let names = report.counters.keys().chain(report.timers.keys());
+        for name in names {
+            assert!(!name.contains("TC_metrics_probe"), "metric {name:?}");
+        }
         // Static analysis queries reachability repeatedly per Cfg: at least
         // one closure build (miss) and at least one reuse (hit).
         assert!(report.counter("cfg.reach_cache.miss") >= 1);

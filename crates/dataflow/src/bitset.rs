@@ -2,8 +2,9 @@
 
 use std::fmt;
 
-/// A fixed-capacity set of small integers backed by `u64` words.
-#[derive(Clone, PartialEq, Eq, Hash)]
+/// A fixed-capacity set of small integers backed by `u64` words. The
+/// default set has capacity 0.
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct BitSet {
     words: Vec<u64>,
     capacity: usize,

@@ -1,11 +1,12 @@
-//! Content-addressed cache of frozen [`SessionArtifacts`].
+//! Cache of frozen [`SessionArtifacts`], keyed by what they depend on.
 //!
 //! The static stage (elaboration + def-use analysis + automaton build) is
 //! by far the most expensive part of a request on small batches, and it
-//! depends only on the design source and its elaboration parameters — so
-//! artifacts are keyed by an FNV-1a hash of exactly that material
-//! ([`crate::proto::DesignRef::cache_key_material`]), and shared across
-//! tenants via `Arc`.
+//! depends only on the design source and its elaboration parameters. The
+//! server keys artifacts by the request's [`DesignRef`](crate::DesignRef),
+//! which names exactly that (each design's source is fixed), compares keys
+//! for equality, never by hash, and shares the artifacts across tenants
+//! via `Arc`.
 //!
 //! The cache is bounded (a segmented LRU): once `capacity` distinct
 //! designs are resident, the **least-recently-used** entry not hit since
@@ -24,33 +25,22 @@ use std::sync::{Arc, Mutex};
 
 use dft_core::{obs, SessionArtifacts};
 
-/// 64-bit FNV-1a over bytes: a zero-dependency hash that keys this cache
-/// by a request's design material.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-struct Entry {
-    key: u64,
+struct Entry<K> {
+    key: K,
     artifacts: Arc<SessionArtifacts>,
     /// Hit since it was inserted; evicted only when nothing else is.
     protected: bool,
 }
 
-/// A bounded, thread-safe artifact cache.
-pub struct ArtifactCache {
-    entries: Mutex<VecDeque<Entry>>,
+/// A bounded, thread-safe artifact cache over keys of type `K`.
+pub struct ArtifactCache<K> {
+    entries: Mutex<VecDeque<Entry<K>>>,
     capacity: usize,
 }
 
-impl ArtifactCache {
+impl<K: PartialEq> ArtifactCache<K> {
     /// Creates a cache holding at most `capacity` designs (min 1).
-    pub fn new(capacity: usize) -> ArtifactCache {
+    pub fn new(capacity: usize) -> ArtifactCache<K> {
         ArtifactCache {
             entries: Mutex::new(VecDeque::new()),
             capacity: capacity.max(1),
@@ -67,13 +57,13 @@ impl ArtifactCache {
     /// both build, and the first insert wins.
     pub fn get_or_build<E>(
         &self,
-        key: u64,
+        key: K,
         build: impl FnOnce() -> Result<Arc<SessionArtifacts>, E>,
     ) -> Result<(Arc<SessionArtifacts>, bool), E> {
         static HITS: obs::Counter = obs::Counter::new("serve.cache.hits");
         static MISSES: obs::Counter = obs::Counter::new("serve.cache.misses");
         static EVICTIONS: obs::Counter = obs::Counter::new("serve.cache.evictions");
-        if let Some(found) = self.lookup(key) {
+        if let Some(found) = self.lookup(&key) {
             HITS.add(1);
             return Ok((found, true));
         }
@@ -103,9 +93,9 @@ impl ArtifactCache {
     /// from one-off designs. Protecting a half-protected cache first
     /// unprotects the least-recently-used protected entry and moves it to
     /// the back.
-    fn lookup(&self, key: u64) -> Option<Arc<SessionArtifacts>> {
+    fn lookup(&self, key: &K) -> Option<Arc<SessionArtifacts>> {
         let mut entries = self.entries.lock().unwrap_or_else(|p| p.into_inner());
-        let pos = entries.iter().position(|e| e.key == key)?;
+        let pos = entries.iter().position(|e| e.key == *key)?;
         let mut entry = entries.remove(pos).expect("position came from this deque");
         if !entry.protected && entries.iter().filter(|e| e.protected).count() >= self.capacity / 2 {
             if let Some(oldest) = entries.iter().position(|e| e.protected) {
@@ -244,7 +234,7 @@ mod tests {
         // older one-offs sit ahead of it in the eviction queue; it must
         // not be the next victim.
         let cache = ArtifactCache::new(4);
-        let hot = |cache: &ArtifactCache| cache.get_or_build(100, build_probe).unwrap().1;
+        let hot = |cache: &ArtifactCache<u64>| cache.get_or_build(100, build_probe).unwrap().1;
         hot(&cache);
         assert!(hot(&cache));
         cache.get_or_build(1, build_probe).unwrap();
@@ -269,12 +259,5 @@ mod tests {
         // A later successful build for the same key still works.
         let (_, warm) = cache.get_or_build(7, build_probe).unwrap();
         assert!(!warm);
-    }
-
-    #[test]
-    fn fnv1a_is_stable_and_discriminating() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv1a(b"sensor;fs=1"), fnv1a(b"sensor;fs=2"));
-        assert_eq!(fnv1a(b"abc"), fnv1a(b"abc"));
     }
 }

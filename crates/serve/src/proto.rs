@@ -80,6 +80,10 @@ impl Request {
 
 /// Which design a request targets. The three paper case studies plus a
 /// tiny built-in `probe` design used by the fault-injection soak tests.
+///
+/// It keys the server's artifact cache: each design's source is fixed, so
+/// equal references elaborate identical artifacts. `==` is exact because
+/// parsing admits only a positive, finite `full_scale`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DesignRef {
     /// The Fig. 1/2 IoT sensor system, parameterised by ADC full scale.
@@ -154,23 +158,6 @@ impl DesignRef {
             DesignRef::WindowLifter => "window-lifter".to_owned(),
             DesignRef::BuckBoost => "buck-boost".to_owned(),
             DesignRef::Probe => "probe".to_owned(),
-        }
-    }
-
-    /// Everything the frozen artifacts depend on: the minic source the
-    /// design is elaborated from plus every elaboration parameter. Two
-    /// requests with equal key material are served by the same cached
-    /// [`dft_core::SessionArtifacts`].
-    pub fn cache_key_material(&self) -> String {
-        match self {
-            DesignRef::Sensor { full_scale } => {
-                format!("sensor;fs={};{}", full_scale.to_bits(), sensor::SENSOR_SRC)
-            }
-            DesignRef::WindowLifter => {
-                format!("window-lifter;{}", window_lifter::WINDOW_LIFTER_SRC)
-            }
-            DesignRef::BuckBoost => format!("buck-boost;{}", buck_boost::BUCK_BOOST_SRC),
-            DesignRef::Probe => format!("probe;{}", crate::probe::PROBE_SRC),
         }
     }
 
@@ -798,10 +785,11 @@ mod tests {
     }
 
     #[test]
-    fn cache_key_material_distinguishes_parameters() {
+    fn design_ref_equality_distinguishes_parameters() {
         let buggy = DesignRef::Sensor { full_scale: 511.0 };
         let fixed = DesignRef::Sensor { full_scale: 2047.0 };
-        assert_ne!(buggy.cache_key_material(), fixed.cache_key_material());
-        assert_eq!(buggy.cache_key_material(), buggy.cache_key_material());
+        assert_ne!(buggy, fixed);
+        assert_eq!(buggy, DesignRef::Sensor { full_scale: 511.0 });
+        assert_ne!(DesignRef::WindowLifter, DesignRef::BuckBoost);
     }
 }

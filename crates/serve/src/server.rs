@@ -26,9 +26,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::admission::{AdmissionConfig, Queue, Rejection};
-use crate::cache::{fnv1a, ArtifactCache};
+use crate::cache::ArtifactCache;
 use crate::json::Json;
-use crate::proto::{AnalyseRequest, Request, TestcaseSel};
+use crate::proto::{AnalyseRequest, DesignRef, Request, TestcaseSel};
 use dft_core::{
     obs, render_table1, render_table2, DftSession, MetricsReport, RetryPolicy, RetryReport,
     RunOutcome, SessionArtifacts, SessionConfig, Table2Row, TestcaseResult, Verdict,
@@ -56,10 +56,8 @@ pub struct ServeConfig {
     /// Default transient-failure retry budget per testcase (requests may
     /// lower or raise their own within `[0, 16]`).
     pub default_retries: u32,
-    /// Base backoff between retry attempts.
+    /// Base backoff between retry attempts (zero: retry at once).
     pub retry_backoff: Duration,
-    /// Whether retries actually sleep their backoff (tests disable).
-    pub retry_sleep: bool,
 }
 
 impl Default for ServeConfig {
@@ -72,7 +70,6 @@ impl Default for ServeConfig {
             cache_capacity: 8,
             default_retries: 2,
             retry_backoff: Duration::from_millis(25),
-            retry_sleep: true,
         }
     }
 }
@@ -116,7 +113,7 @@ struct Job {
 
 struct Shared {
     queue: Queue<Job>,
-    cache: ArtifactCache,
+    cache: ArtifactCache<DesignRef>,
     config: ServeConfig,
     /// The per-process session knobs requests start from (environment,
     /// resolved once at server start — satellite of the SessionConfig
@@ -481,15 +478,15 @@ fn handle_analyse(shared: &Arc<Shared>, request: &AnalyseRequest) -> String {
         session_config = session_config.with_threads(threads);
     }
 
-    // Artifact cache: key on everything the frozen artifacts depend on.
-    let material = request.design.cache_key_material();
     // Second tier: on a whole-design miss, the family's previous frozen
     // build (if any) seeds an incremental rebuild — only models the edit
     // touched are recomputed, the rest splice.
     let family_key = request.design.family();
     let via_incremental = std::cell::Cell::new(false);
     let elaborate_started = Instant::now();
-    let built = shared.cache.get_or_build(fnv1a(material.as_bytes()), || {
+    // Artifact cache: the design reference names everything the frozen
+    // artifacts depend on.
+    let built = shared.cache.get_or_build(request.design.clone(), || {
         request.design.design().map(|design| {
             let prev = shared
                 .prev_builds
@@ -546,7 +543,6 @@ fn handle_analyse(shared: &Arc<Shared>, request: &AnalyseRequest) -> String {
     let policy = RetryPolicy {
         max_retries: request.retries.unwrap_or(shared.config.default_retries),
         backoff_base: shared.config.retry_backoff,
-        sleep: shared.config.retry_sleep,
     };
     let mut limits = RunLimits::none();
     if let Some(n) = request.max_activations {

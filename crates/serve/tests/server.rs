@@ -12,7 +12,7 @@ use dft_serve::{start, Json, ServeConfig, ServerHandle};
 
 fn test_config() -> ServeConfig {
     ServeConfig {
-        retry_sleep: false,
+        retry_backoff: Duration::ZERO,
         workers: 4,
         ..ServeConfig::default()
     }
@@ -348,7 +348,7 @@ fn overload_rejects_with_retry_hints() {
         workers: 1,
         queue_capacity: 1,
         per_tenant_in_flight: 1,
-        retry_sleep: false,
+        retry_backoff: Duration::ZERO,
         ..ServeConfig::default()
     };
     let handle = start(config).unwrap();
@@ -396,7 +396,7 @@ fn overload_rejects_with_retry_hints() {
 fn shutdown_drains_in_flight_work() {
     let handle = start(ServeConfig {
         workers: 1,
-        retry_sleep: false,
+        retry_backoff: Duration::ZERO,
         ..ServeConfig::default()
     })
     .unwrap();

@@ -15,7 +15,7 @@
 //! on the single-threaded control path. A fixed `(seed, config)` therefore
 //! produces byte-identical suites and reports at any `DFT_THREADS`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use dft_core::{
     AssertionSpec, Classification, Coverage, Design, DftSession, Result, TestcaseResult,
@@ -171,8 +171,6 @@ pub struct Generator {
     covered: Vec<bool>,
     /// Per-association fitness weight, static index order.
     weight: Vec<u64>,
-    /// Static association -> index, for mapping exercised sets.
-    index: HashMap<dft_core::Association, usize>,
     accepted: Vec<Accepted>,
     suite: Testsuite,
     rows: Vec<GenIterationRow>,
@@ -219,12 +217,6 @@ impl Generator {
                 }
             })
             .collect();
-        let index = statics
-            .associations
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.assoc.clone(), i))
-            .collect();
         let rng = GenRng::new(cfg.seed);
         let suite = Testsuite::new("generated");
         Ok(Generator {
@@ -236,7 +228,6 @@ impl Generator {
             rng,
             covered: vec![false; n],
             weight,
-            index,
             accepted: Vec::new(),
             suite,
             rows: Vec::new(),
@@ -389,7 +380,7 @@ impl Generator {
 
     /// Evaluates candidates through the session under the configured
     /// budgets and returns `(testcase, exercised static indices, run)`
-    /// per candidate, batch order. Candidates whose cluster fails to
+    /// per candidate, batch order, with the indices ascending. Candidates whose cluster fails to
     /// build are dropped (counted, never fatal); the session's run list
     /// is left exactly as it was. Each candidate is matched *while it
     /// simulates*, so large candidate batches never materialize
@@ -409,28 +400,10 @@ impl Generator {
         let start = self.session.runs().len();
         self.session.run_testcases_with(specs, self.cfg.limits);
         let runs = self.session.take_runs_from(start);
-        let n_assocs = self.weight.len();
         built
             .into_iter()
             .zip(runs)
-            .map(|(tc, run)| {
-                // The session's match automaton hands back exercised static
-                // indices directly (already in ascending order); hash-probe
-                // the association map only for runs without a valid bitset.
-                let exercised: Vec<usize> = match &run.exercised_idx {
-                    Some(bits) if bits.capacity() == n_assocs => bits.iter().collect(),
-                    _ => {
-                        let mut exercised: Vec<usize> = run
-                            .exercised
-                            .iter()
-                            .filter_map(|a| self.index.get(a).copied())
-                            .collect();
-                        exercised.sort_unstable();
-                        exercised
-                    }
-                };
-                (tc, exercised, run)
-            })
+            .map(|(tc, run)| (tc, run.exercised_idx.iter().collect(), run))
             .collect()
     }
 

@@ -11,6 +11,7 @@
 
 mod support;
 
+use std::collections::HashSet;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
@@ -121,14 +122,14 @@ fn assert_matchers_equivalent(
         );
     }
 
-    // A coverage built from the bitset run renders exactly like one built
-    // from the reference's hash-probe run.
+    // A coverage built from the automaton's bitset renders exactly like one
+    // built from the reference's names mapped onto the static list.
     let reference_run = TestcaseResult {
         name: "TC".into(),
+        exercised_idx: static_bits(statics, &reference.exercised),
         exercised: reference.exercised,
         defs_executed: reference.defs_executed,
         warnings: reference.warnings,
-        exercised_idx: None,
         ..TestcaseResult::default()
     };
     let fast_run = TestcaseResult {
@@ -136,7 +137,7 @@ fn assert_matchers_equivalent(
         exercised: fast.exercised.clone(),
         defs_executed: fast.defs_executed.clone(),
         warnings: fast.warnings.clone(),
-        exercised_idx: Some(bits.clone()),
+        exercised_idx: bits.clone(),
         ..TestcaseResult::default()
     };
     assert_eq!(
@@ -145,6 +146,18 @@ fn assert_matchers_equivalent(
         "rendered coverage reports differ"
     );
     (fast, bits)
+}
+
+/// The bitset over `statics.associations` of the ones in `exercised`: the
+/// reference matcher's names mapped onto the static list.
+fn static_bits(statics: &StaticAnalysis, exercised: &HashSet<Association>) -> BitSet {
+    let mut bits = BitSet::new(statics.associations.len());
+    for (i, ca) in statics.associations.iter().enumerate() {
+        if exercised.contains(&ca.assoc) {
+            bits.insert(i);
+        }
+    }
+    bits
 }
 
 /// `plan` applied to the fixture's log in the automaton's id space, where
@@ -226,7 +239,7 @@ proptest! {
                 exercised: r.exercised,
                 defs_executed: r.defs_executed,
                 warnings: r.warnings,
-                exercised_idx: Some(bits),
+                exercised_idx: bits,
                 ..TestcaseResult::default()
             };
             prop_assert_eq!(
@@ -295,10 +308,10 @@ fn session_strategies_identical_across_thread_counts() {
                 let r = analyse_events_with_mode(&design, &sink.events, MatchMode::Lenient);
                 TestcaseResult {
                     name: tc.name,
+                    exercised_idx: static_bits(&statics, &r.exercised),
                     exercised: r.exercised,
                     defs_executed: r.defs_executed,
                     warnings: r.warnings,
-                    exercised_idx: None,
                     ..TestcaseResult::default()
                 }
             })

@@ -330,14 +330,14 @@ proptest! {
             subsumption: Default::default(),
         };
         let pick = |hits: &[bool]| -> TestcaseResult {
+            let mut exercised_idx = BitSet::new(dedup.len());
+            for (i, _) in hits.iter().enumerate().take(dedup.len()).filter(|(_, h)| **h) {
+                exercised_idx.insert(i);
+            }
             TestcaseResult {
                 name: "tc".into(),
-                exercised: dedup
-                    .iter()
-                    .zip(hits)
-                    .filter(|(_, h)| **h)
-                    .map(|(a, _)| a.clone())
-                    .collect(),
+                exercised: exercised_idx.iter().map(|i| dedup[i].clone()).collect(),
+                exercised_idx,
                 ..TestcaseResult::default()
             }
         };

@@ -86,7 +86,6 @@ fn policy() -> RetryPolicy {
     RetryPolicy {
         max_retries: 3,
         backoff_base: Duration::from_millis(10),
-        sleep: false, // assert on the recorded schedule instead
     }
 }
 
