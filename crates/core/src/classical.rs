@@ -17,10 +17,7 @@ use crate::design::Design;
 pub fn classical_pairs(design: &Design) -> Vec<Association> {
     let mut out = Vec::new();
     for model in design.user_models() {
-        let f = design
-            .tu()
-            .processing(model)
-            .expect("validated by Design::new");
+        let f = design.processing(model).expect("validated by Design::new");
         let cfg = Cfg::from_function(f);
         let rd = ReachingDefs::compute(&cfg);
         for pair in rd.pairs() {

@@ -3,7 +3,11 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors raised by the data-flow-testing pipeline.
+/// Errors raised by the data-flow-testing pipeline. [`Design::new`]
+/// raises the design-shape ones (`MissingSource`, `DuplicateDefinition`,
+/// and `Sim` for a netlist that lists a module twice).
+///
+/// [`Design::new`]: crate::Design::new
 #[derive(Debug)]
 pub enum DftError {
     /// A model listed in the netlist as user code has no source in the
@@ -12,10 +16,13 @@ pub enum DftError {
         /// The model name.
         model: String,
     },
-    /// A model definition exists but the netlist does not contain it.
-    NotInNetlist {
+    /// A model is defined twice: two model definitions name it, or the
+    /// translation unit implements one of its functions twice.
+    DuplicateDefinition {
         /// The model name.
         model: String,
+        /// The repeated function; `None` when the model definition repeats.
+        function: Option<String>,
     },
     /// Source failed to parse.
     Parse(minic::MinicError),
@@ -31,12 +38,14 @@ impl fmt::Display for DftError {
             DftError::MissingSource { model } => {
                 write!(f, "no processing() source for user-code model `{model}`")
             }
-            DftError::NotInNetlist { model } => {
-                write!(
-                    f,
-                    "model `{model}` has a definition but is not in the netlist"
-                )
-            }
+            DftError::DuplicateDefinition {
+                model,
+                function: None,
+            } => write!(f, "model `{model}` is defined twice"),
+            DftError::DuplicateDefinition {
+                model,
+                function: Some(function),
+            } => write!(f, "function `{model}::{function}()` is defined twice"),
             DftError::Parse(e) => write!(f, "{e}"),
             DftError::Sim(e) => write!(f, "{e}"),
             DftError::Interp(e) => write!(f, "{e}"),

@@ -26,7 +26,7 @@ pub fn explain_association(design: &Design, assoc: &Association) -> Option<Strin
 }
 
 fn explain_intra(design: &Design, assoc: &Association) -> Option<String> {
-    let f = design.tu().processing(&assoc.def_model)?;
+    let f = design.processing(&assoc.def_model)?;
     let cfg = Cfg::from_function(f);
     let rd = ReachingDefs::compute(&cfg);
     let pair = rd.pairs().iter().find(|p| {
@@ -77,7 +77,7 @@ fn explain_cluster(design: &Design, assoc: &Association) -> Option<String> {
     let _ = writeln!(out, "{assoc}: cluster-level flow");
     // Walk forward from the defining side. For redefined pairs the
     // def_model is the netlist model; find the component whose site matches.
-    let origin = if design.tu().processing(&assoc.def_model).is_some() {
+    let origin = if design.processing(&assoc.def_model).is_some() {
         (assoc.def_model.clone(), assoc.var.clone())
     } else {
         // Redefined: locate the component bound at (def_model, def_line).

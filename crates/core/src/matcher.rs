@@ -56,8 +56,6 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use dataflow::{BitSet, Cfg};
-use minic::Function;
-use tdf_interp::Interface;
 use tdf_sim::{CompactEvent, EventKind, EventSink, Interner, ProvId, SimTime, Sym};
 
 use crate::assoc::Association;
@@ -114,7 +112,7 @@ pub struct MatchAutomaton {
     /// Dense `row * frozen + var_sym -> ADMIT | INPORT` flags.
     slot_flags: Vec<u8>,
     /// `(row, var_sym, start_line)` seeds for elaboration-initialised
-    /// members, in declaration order (later duplicates overwrite).
+    /// members, in declaration order.
     member_seeds: Vec<(u32, u32, u32)>,
     /// Fully-interned association key -> its index into
     /// [`StaticAnalysis::associations`].
@@ -284,27 +282,12 @@ impl MatchAutomaton {
     ) -> MatchAutomaton {
         let interner = design.interner().clone();
         let netlist = design.netlist();
-        // `Design::start_line` and `Design::interface` scan by name; index
-        // the first `processing()` and the first interface per model once.
-        let mut processing: FxHashMap<&str, &Function> = FxHashMap::default();
-        for f in &design.tu().functions {
-            if f.name == "processing" {
-                processing.entry(f.model.as_str()).or_insert(f);
-            }
-        }
-        let mut interfaces: FxHashMap<&str, &Interface> = FxHashMap::default();
-        for def in design.models() {
-            interfaces
-                .entry(def.model.as_str())
-                .or_insert(&def.interface);
-        }
-        let start_line = |model: &str| processing.get(model).map_or(0, |f| f.span.line());
         let cfgs: Vec<Option<Cow<'c, Cfg>>> = design
             .models()
             .iter()
             .map(|def| {
                 static_cfg(&def.model).map(Cow::Borrowed).or_else(|| {
-                    let f = processing.get(def.model.as_str())?;
+                    let f = design.processing(&def.model)?;
                     Some(Cow::Owned(Cfg::from_function(f)))
                 })
             })
@@ -402,38 +385,26 @@ impl MatchAutomaton {
         }
         let n_rows = row_names.len();
 
-        let mut row_start_line = vec![0u32; n_rows];
+        let row_start_line: Vec<u32> = row_names.iter().map(|m| design.start_line(m)).collect();
         let mut row_has_vocab = vec![false; n_rows];
         // Each row's flags are indexed by name symbol; every name they
         // mention was interned before the freeze.
         let mut slot_flags = vec![0u8; n_rows * frozen];
-        for (r, &name) in row_names.iter().enumerate() {
-            row_start_line[r] = start_line(name);
-            // Every input of the model's *first* interface resolves as an
-            // in-port there, exactly like `Design::kind_of`.
-            if let Some(iface) = interfaces.get(name) {
-                let row = &mut slot_flags[r * frozen..(r + 1) * frozen];
-                for p in &iface.inputs {
-                    row[sym(&p.name).0 as usize] |= INPORT;
-                }
-            }
-        }
-        // Iterate the model list in order so a duplicate definition's
-        // vocabulary overwrites the earlier one's.
         let mut member_seeds = Vec::new();
         for (def, (model, all, members)) in design.models().iter().zip(&def_syms) {
             let r = model_row[model.0 as usize] as usize;
             let row = &mut slot_flags[r * frozen..(r + 1) * frozen];
-            for flags in row.iter_mut() {
-                *flags &= !ADMIT;
-            }
             row_has_vocab[r] = true;
             for &sym in &vocab[all.clone()] {
                 row[sym as usize] |= ADMIT;
             }
-            let line = start_line(&def.model);
+            // Every input resolves as an in-port, exactly like
+            // `Design::kind_of`.
+            for p in &def.interface.inputs {
+                row[sym(&p.name).0 as usize] |= INPORT;
+            }
             for &sym in &vocab[members.clone()] {
-                member_seeds.push((r as u32, sym, line));
+                member_seeds.push((r as u32, sym, row_start_line[r]));
             }
         }
         // A model without a vocabulary admits every variable.
@@ -593,11 +564,6 @@ impl MatchCursor<'_> {
     /// Number of events fed so far.
     pub fn events_fed(&self) -> u64 {
         self.events
-    }
-
-    /// The match mode this cursor validates with.
-    pub fn mode(&self) -> MatchMode {
-        self.mode
     }
 
     /// Consumes one event, updating the incremental state exactly as the

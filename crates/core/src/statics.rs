@@ -27,7 +27,6 @@ use dataflow::{
     analyse_subsumption, path_facts, BitSet, Cfg, DefSite as FlowDef, DuPair, Liveness, NodeId,
     ReachingDefs, SubsumptionGraph, SUBSUMPTION_PATH_LIMIT,
 };
-use minic::Function;
 use tdf_interp::VarKind;
 use tdf_sim::{DefSite, ModuleClass, Netlist, PortRef};
 
@@ -164,10 +163,7 @@ struct ModelFlow {
 
 impl ModelFlow {
     fn compute(design: &Design, model: &str) -> ModelFlow {
-        let f = design
-            .tu()
-            .processing(model)
-            .expect("validated by Design::new");
+        let f = design.processing(model).expect("validated by Design::new");
         let cfg = Cfg::from_function(f);
         let rd = ReachingDefs::compute(&cfg);
         let mut uses: HashMap<String, Vec<(u32, NodeId)>> = HashMap::new();
@@ -176,7 +172,7 @@ impl ModelFlow {
                 uses.entry(u.name.clone()).or_default().push((u.line, n.id));
             }
         }
-        let init = design.tu().function(model, "initialize").map(|init_f| {
+        let init = design.initialize(model).map(|init_f| {
             let icfg = Cfg::from_function(init_f);
             let ird = ReachingDefs::compute(&icfg);
             (icfg, ird)
@@ -199,12 +195,10 @@ impl ModelFlow {
 ///   members with initial values, timestep);
 /// * per input port, whether its upstream origin resolves external — the
 ///   one netlist-dependent fact the pseudo-def stage consumes.
-///
-/// `functions` are the model's functions in source order.
-fn model_fingerprint(design: &Design, model: &str, functions: &[&Function]) -> u64 {
+fn model_fingerprint(design: &Design, model: &str) -> u64 {
     let mut h = FxHasher::default();
     model.hash(&mut h);
-    for f in functions {
+    for f in design.functions(model) {
         f.hash(&mut h);
     }
     0x1fu8.hash(&mut h);
@@ -231,18 +225,18 @@ fn netlist_fingerprint(design: &Design) -> u64 {
 
 /// Subsumption candidates of one model, frozen at artifact-build time.
 ///
-/// `candidates` are the Local/Member du-pairs whose association tuple was
-/// emitted exactly once by *this model's own* stages — a superset of the
-/// globally eligible set (another model or the cluster stage can still
-/// emit the tuple too). The merge checks global uniqueness and reuses
-/// `graph` when no candidate's tuple repeats design-wide, which is the
-/// overwhelmingly common case.
+/// The candidates are the Local/Member du-pairs whose association tuple
+/// was emitted exactly once by *this model's own* stages. The cluster
+/// stage can still emit such a tuple too, when a redefining element's
+/// binding site names the model itself; the merge then applies no part of
+/// `graph` (see [`merge_subsumption`]).
 #[derive(Debug)]
 struct ModelSub {
-    /// Each du-pair with the index of its tuple's one emission in the
-    /// artifact's `assocs`, in `rd.pairs()` order.
-    candidates: Vec<(DuPair, usize)>,
-    /// Subsumption graph over all `candidates` (`None` when fewer than 2).
+    /// Per candidate, in `rd.pairs()` order, the index of its tuple's one
+    /// emission in the artifact's `assocs`.
+    candidates: Vec<usize>,
+    /// Subsumption graph over all candidates, indexed like `candidates`
+    /// (`None` when fewer than 2).
     graph: Option<SubsumptionGraph>,
 }
 
@@ -500,7 +494,8 @@ fn model_subsumption(
     for (i, c) in own_emissions.iter().enumerate() {
         emitted.entry(&c.assoc).or_insert((i, 0)).1 += 1;
     }
-    let mut candidates: Vec<(DuPair, usize)> = Vec::new();
+    let mut pairs: Vec<DuPair> = Vec::new();
+    let mut candidates: Vec<usize> = Vec::new();
     for pair in flow.rd.pairs() {
         match design.kind_of(model, &pair.var) {
             VarKind::Local | VarKind::Member => {}
@@ -514,13 +509,12 @@ fn model_subsumption(
             model,
         );
         if let Some(&(first, 1)) = emitted.get(&assoc) {
-            candidates.push((pair.clone(), first));
+            pairs.push(pair.clone());
+            candidates.push(first);
         }
     }
-    let graph = (candidates.len() >= 2).then(|| {
-        let pairs: Vec<DuPair> = candidates.iter().map(|(p, _)| p.clone()).collect();
-        analyse_subsumption(&flow.cfg, &flow.rd, &pairs, SUBSUMPTION_PATH_LIMIT)
-    });
+    let graph = (pairs.len() >= 2)
+        .then(|| analyse_subsumption(&flow.cfg, &flow.rd, &pairs, SUBSUMPTION_PATH_LIMIT));
     ModelSub { candidates, graph }
 }
 
@@ -554,28 +548,24 @@ pub(crate) fn analyse_build(
     let keyed = cache.is_some() || prev.is_some();
     let (keys, netlist_key) = if keyed {
         let _span = obs::span("static.fingerprint");
-        // Each model's functions, gathered in one pass over the unit.
-        let mut functions: FxHashMap<&str, Vec<&Function>> = FxHashMap::default();
-        for f in &design.tu().functions {
-            functions.entry(f.model.as_str()).or_default().push(f);
-        }
         let keys: Vec<u64> = models
             .iter()
-            .map(|&m| model_fingerprint(design, m, functions.get(m).map_or(&[], Vec::as_slice)))
+            .map(|&m| model_fingerprint(design, m))
             .collect();
         (keys, netlist_fingerprint(design))
     } else {
         (vec![0; models.len()], 0)
     };
 
-    // The previous build's models by fingerprint (the first of each
-    // wins); a hit must also carry the same name.
-    let mut prev_by_key: FxHashMap<u64, &PerModelBuild> = FxHashMap::default();
-    for pm in prev.iter().flat_map(|p| &p.models) {
-        prev_by_key.entry(pm.key).or_insert(pm);
-    }
+    // The previous build's models by name; one is reused when its
+    // fingerprint is unchanged.
+    let prev_by_name: FxHashMap<&str, &PerModelBuild> = prev
+        .iter()
+        .flat_map(|p| &p.models)
+        .map(|pm| (pm.name.as_str(), pm))
+        .collect();
     let prev_model =
-        |model: &str, key: u64| prev_by_key.get(&key).copied().filter(|pm| pm.name == model);
+        |model: &str, key: u64| prev_by_name.get(model).copied().filter(|pm| pm.key == key);
 
     // Resolve per-model artifacts: the previous build first (no lock, no
     // eviction pressure), then the shared cache; whatever is left fans out
@@ -621,16 +611,13 @@ pub(crate) fn analyse_build(
         lints.extend(art.lints.iter().cloned());
     }
 
-    // Flow lookup for the cluster stage, by name: a later same-named model
-    // overwrites an earlier one, exactly like the historical HashMap
-    // insert order. A missing entry means that model's classify stage
-    // panicked; `cluster_ports` skips it.
-    let mut flows: HashMap<&str, &ModelFlow> = HashMap::new();
-    for (&model, art) in models.iter().zip(&artifacts) {
-        if let Some(flow) = &art.flow {
-            flows.insert(model, flow);
-        }
-    }
+    // Flow lookup for the cluster stage, by name. A missing entry means
+    // that model's classify stage panicked; `cluster_ports` skips it.
+    let flows: FxHashMap<&str, &ModelFlow> = models
+        .iter()
+        .zip(&artifacts)
+        .filter_map(|(&model, art)| Some((model, art.flow.as_ref()?)))
+        .collect();
 
     // The cluster stage reads all flows at once, so it runs after the
     // fan-in above. A unit is spliced from the previous build iff the
@@ -641,15 +628,8 @@ pub(crate) fn analyse_build(
     let mut cluster: Vec<Option<Arc<ClusterUnit>>> = vec![None; models.len()];
     if let Some(p) = prev {
         if p.netlist_key == netlist_key {
-            // Fingerprint of the first model of each name, now and before.
-            let mut cur_key: FxHashMap<&str, u64> = FxHashMap::default();
-            for (&model, &key) in models.iter().zip(&keys) {
-                cur_key.entry(model).or_insert(key);
-            }
-            let mut old_key: FxHashMap<&str, u64> = FxHashMap::default();
-            for pm in &p.models {
-                old_key.entry(pm.name.as_str()).or_insert(pm.key);
-            }
+            let cur_key: FxHashMap<&str, u64> =
+                models.iter().copied().zip(keys.iter().copied()).collect();
             for (i, (&model, &key)) in models.iter().zip(&keys).enumerate() {
                 let Some(pm) = prev_model(model, key) else {
                     continue;
@@ -659,7 +639,9 @@ pub(crate) fn analyse_build(
                 }
                 let deps_unchanged = pm.cluster.deps.iter().all(|dep| {
                     let dep = dep.as_str();
-                    matches!((cur_key.get(dep), old_key.get(dep)), (Some(c), Some(o)) if c == o)
+                    cur_key
+                        .get(dep)
+                        .is_some_and(|&key| prev_model(dep, key).is_some())
                 });
                 if deps_unchanged {
                     cluster[i] = Some(Arc::clone(&pm.cluster));
@@ -717,9 +699,10 @@ pub(crate) fn analyse_build(
     let _merge_span = obs::span("static.merge");
     // Deduplicate on the tuple, keeping the first (intra-activation)
     // classification. A tuple emitted more than once (member
-    // cross-activation wrap, same-line def collisions, a model listed
-    // twice, …) does not map one-to-one onto a du-pair, so its first
-    // emission is marked repeated and subsumption leaves it tracked.
+    // cross-activation wrap, same-line def collisions, a redefining
+    // element whose binding site names the using model, …) does not map
+    // one-to-one onto a du-pair, so its first emission is marked repeated
+    // and subsumption leaves it tracked.
     let mut first: FxHashMap<&Association, usize> =
         FxHashMap::with_capacity_and_hasher(emitted.len(), Default::default());
     let mut repeated = vec![false; emitted.len()];
@@ -791,13 +774,10 @@ pub(crate) fn analyse_build(
 /// `report_index` is [`analyse_build`]'s map from emission position to
 /// report position, `None` for every emission of a repeated tuple; `n` is
 /// the report length. Per model (in `design.user_models()` order, so the
-/// result is identical for every worker count), the eligible du-pairs —
-/// the artifact's candidates whose tuple was emitted once *design-wide* —
-/// map their local frontier/dropped indices onto report indices. When
-/// every candidate is eligible (the common case) the artifact's
-/// pre-computed graph is reused as-is; otherwise the graph is recomputed
-/// over the eligible pairs. Everything ineligible stays tracked
-/// conservatively.
+/// result is identical for every worker count), the artifact's graph
+/// applies whole or not at all: when every candidate's tuple was emitted
+/// once design-wide, its frontier/dropped indices map onto report
+/// indices; otherwise every pair of that model stays tracked.
 fn merge_subsumption(
     artifacts: &[Arc<ModelArtifact>],
     report_index: &[Option<usize>],
@@ -812,54 +792,31 @@ fn merge_subsumption(
     for art in artifacts {
         let block = &report_index[offset..offset + art.assocs.len()];
         offset += art.assocs.len();
-        let (Some(flow), Some(sub)) = (&art.flow, &art.sub) else {
+        let Some(ModelSub {
+            candidates,
+            graph: Some(g),
+        }) = &art.sub
+        else {
             continue;
         };
-        let eligible: Vec<(usize, usize)> = sub
-            .candidates
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &(_, e))| Some((i, block[e]?)))
-            .collect();
-        if eligible.len() < 2 {
+        // Each candidate's report position, unless some tuple repeats.
+        let Some(report): Option<Vec<usize>> = candidates.iter().map(|&e| block[e]).collect()
+        else {
             continue;
-        }
-        let recomputed: Option<SubsumptionGraph>;
-        let g: &SubsumptionGraph = if eligible.len() == sub.candidates.len() {
-            match &sub.graph {
-                Some(g) => g,
-                None => continue,
-            }
-        } else {
-            let pairs: Vec<DuPair> = eligible
-                .iter()
-                .map(|&(i, _)| sub.candidates[i].0.clone())
-                .collect();
-            recomputed = Some(analyse_subsumption(
-                &flow.cfg,
-                &flow.rd,
-                &pairs,
-                SUBSUMPTION_PATH_LIMIT,
-            ));
-            recomputed.as_ref().expect("just set")
         };
-        for (k, &(_, gi)) in eligible.iter().enumerate() {
+        for (k, &r) in report.iter().enumerate() {
             if !g.frontier.contains(k) {
-                dropped.insert(gi);
-            }
-        }
-        for k in 0..eligible.len() {
-            if !g.frontier.contains(k) {
+                dropped.insert(r);
                 continue;
             }
             let mut implied = BitSet::new(n);
             for j in g.subsumes[k].iter() {
                 if j != k && !g.frontier.contains(j) {
-                    implied.insert(eligible[j].1);
+                    implied.insert(report[j]);
                 }
             }
             if !implied.is_empty() {
-                implied_by.push((eligible[k].1 as u32, implied));
+                implied_by.push((r as u32, implied));
             }
         }
     }
@@ -1135,7 +1092,7 @@ fn walk_branches(
 fn cluster_ports(
     design: &Design,
     model: &str,
-    flows: &HashMap<&str, &ModelFlow>,
+    flows: &FxHashMap<&str, &ModelFlow>,
     out: &mut Vec<ClassifiedAssoc>,
     deps: &mut BTreeSet<String>,
 ) {
@@ -1691,36 +1648,49 @@ void M::processing()
     }
 
     #[test]
-    fn model_listed_twice_keeps_every_candidate_tracked() {
-        // Listing M twice emits each of its tuples twice design-wide, so
-        // no du-pair maps one-to-one onto an association any more: the
-        // association set is unchanged and nothing is dropped.
+    fn a_candidate_repeated_by_a_redefining_site_leaves_its_model_tracked() {
+        // S drives M through a gain. When the gain's binding site names M
+        // at line 3, the cluster stage emits (t, 3, M, 4, M) too: the tuple
+        // of one of M's candidates. M's graph then applies not at all, so
+        // none of M's pairs is dropped.
         let src = "\
 void M::processing()
 {
-    double t = ip_in;
-    double u = t;
+    double t = 1;
+    double u = t + ip_in;
     op_y = t + u;
+}
+void S::processing()
+{
+    t = 2;
 }";
-        let design = |copies: usize| {
+        let design = |site: DefSite| {
             let tu = minic::parse(src).unwrap();
-            let models = vec![TdfModelDef::new(
-                "M",
-                Interface::new().input("ip_in").output("op_y"),
-            )];
+            let models = vec![
+                TdfModelDef::new("M", Interface::new().input("ip_in").output("op_y")),
+                TdfModelDef::new("S", Interface::new().output("t")),
+            ];
             let netlist = Netlist {
                 cluster: "top".into(),
-                bindings: vec![],
-                modules: vec![user("M", &["ip_in"], &["op_y"]); copies],
+                bindings: vec![
+                    bind("S", "t", "g", "tdf_i"),
+                    bind("g", "tdf_o", "M", "ip_in"),
+                ],
+                modules: vec![
+                    user("S", &[], &["t"]),
+                    lib("g", ModuleClass::Redefining(site)),
+                    user("M", &["ip_in"], &["op_y"]),
+                ],
             };
             Design::new(tu, models, netlist).unwrap()
         };
-        let once = analyse(&design(1));
-        let twice = analyse(&design(2));
-        assert_eq!(twice.associations, once.associations);
-        assert_eq!(once.subsumption.dropped_count(), 2);
-        assert_eq!(twice.subsumption.dropped_count(), 0);
-        assert!(twice.subsumption.implied_by.is_empty());
+        let apart = analyse(&design(DefSite::new("top", 9)));
+        assert_eq!(apart.subsumption.dropped_count(), 2);
+        let colliding = analyse(&design(DefSite::new("M", 3)));
+        let t34 = find(&colliding, "t", 3, "M", 4, "M").expect("emitted");
+        assert_eq!(t34.class, Classification::Strong, "first emission kept");
+        assert_eq!(colliding.subsumption.dropped_count(), 0);
+        assert!(colliding.subsumption.implied_by.is_empty());
     }
 
     #[test]

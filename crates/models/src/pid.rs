@@ -362,7 +362,7 @@ mod tests {
         let mut batch = DftSession::new(pid_design().unwrap())
             .unwrap()
             .with_assertions(pid_assertions());
-        let _ = batch.run_testcases(vec![TestcaseSpec::new(&t.name, build(), t.duration)]);
+        batch.run_testcases(vec![TestcaseSpec::new(&t.name, build(), t.duration)]);
         assert_eq!(single.runs()[0].verdicts, batch.runs()[0].verdicts);
     }
 }

@@ -7,8 +7,7 @@
 //!
 //! * `DFT_METRICS` — record counters and timer histograms; snapshot them
 //!   with [`MetricsReport::capture`] and render via
-//!   [`MetricsReport::to_text`] (a stage-timing table) or
-//!   [`MetricsReport::to_json`].
+//!   [`MetricsReport::to_text`] (a stage-timing table).
 //! * `DFT_TRACE` — additionally print every finished [`span`] to stderr
 //!   (`[dft-trace] stage.schedule 12.3 µs`), indented by nesting depth.
 //!
@@ -360,10 +359,10 @@ impl MetricsReport {
     /// What happened **between** `earlier` and `self` (two snapshots of
     /// the same process-global registry, `earlier` taken first): counters
     /// and timer counts/totals/histograms subtract entry-wise, with
-    /// all-zero entries dropped. This is how a multi-request embedder
-    /// scopes the global registry to one request — snapshot before,
-    /// snapshot after, report the delta — without cross-request
-    /// contamination.
+    /// all-zero entries dropped. A multi-request embedder uses it to
+    /// report a request's window — snapshot before, snapshot after, report
+    /// the delta. The registry is shared, so the window also counts any
+    /// work that overlapped it, such as a concurrent request's.
     ///
     /// `min_ns`/`max_ns` are not derivable from two cumulative snapshots;
     /// the delta keeps the later snapshot's values, so treat them as
@@ -461,60 +460,6 @@ impl MetricsReport {
         }
         out
     }
-
-    /// Serialises the snapshot as a JSON object (hand-rolled; names only
-    /// ever contain identifier-ish characters, but quotes are escaped
-    /// defensively anyway).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{}", json_string(k), v);
-        }
-        out.push_str("},\"timers\":{");
-        for (i, (k, t)) in self.timers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{}:{{\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{},\"buckets\":[",
-                json_string(k),
-                t.count,
-                t.total_ns,
-                t.min_ns,
-                t.max_ns
-            );
-            for (j, b) in t.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{b}");
-            }
-            out.push_str("]}");
-        }
-        out.push_str("}}");
-        out
-    }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Formats a nanosecond count with an adaptive unit (`ns`, `µs`, `ms`, `s`).
@@ -620,20 +565,14 @@ mod tests {
     }
 
     #[test]
-    fn text_and_json_render() {
+    fn text_renders() {
         with_clean_registry(|| {
             counter_add("test.render_counter", 7);
             observe_duration("test.render_timer", Duration::from_micros(5));
-            let r = MetricsReport::capture();
-            let text = r.to_text();
+            let text = MetricsReport::capture().to_text();
             assert!(text.contains("test.render_counter"));
             assert!(text.contains("test.render_timer"));
             assert!(text.contains('7'));
-            let json = r.to_json();
-            assert!(json.contains("\"test.render_counter\":7"));
-            assert!(json.contains("\"count\":1"));
-            assert!(json.contains("\"buckets\":["));
-            assert!(json.starts_with('{') && json.ends_with('}'));
         });
     }
 
@@ -642,13 +581,6 @@ mod tests {
         let r = MetricsReport::default();
         assert!(r.is_empty());
         assert!(r.to_text().contains("DFT_METRICS"));
-        assert_eq!(r.to_json(), "{\"counters\":{},\"timers\":{}}");
-    }
-
-    #[test]
-    fn json_escapes_quotes() {
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("\n"), "\"\\u000a\"");
     }
 
     #[test]

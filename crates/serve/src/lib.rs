@@ -16,8 +16,8 @@
 //!   budgets ([`dft_core::RetryPolicy`]); deterministic failures are
 //!   permanent immediately;
 //! * **artifact cache** ([`cache`]) — frozen design + static analysis +
-//!   match automaton, content-hashed, shared across tenants: warm
-//!   requests skip elaboration entirely;
+//!   match automaton, keyed by the request's design reference and shared
+//!   across tenants: warm requests skip elaboration entirely;
 //! * **graceful shutdown** — SIGTERM or an in-band `shutdown` request
 //!   drains in-flight work, rejects new work, then closes.
 //!

@@ -332,9 +332,9 @@ fn deadlines_degrade_the_request_not_the_server() {
         tcs[0].get("outcome").and_then(Json::as_str),
         Some("timed-out")
     );
-    // The absolute deadline is not escalated by retries: all three
-    // attempts trip it, and the supervisor reports them.
-    assert_eq!(tcs[0].get("attempts").and_then(Json::as_u64), Some(3));
+    // The absolute deadline is not escalated by retries, and no retry
+    // starts past it: the one timed-out attempt stands.
+    assert_eq!(tcs[0].get("attempts").and_then(Json::as_u64), Some(1));
     assert_eq!(tcs[0].get("salvaged").and_then(Json::as_bool), Some(false));
     // The server (and the very same connection) survive.
     assert_eq!(status(&client.roundtrip(r#"{"op":"ping"}"#)), "ok");

@@ -65,7 +65,7 @@ fn full_pipeline_reports_are_byte_identical() {
             TestcaseSpec::new(&tc.name, cluster, tc.duration)
         })
         .collect();
-    batch.run_testcases(specs).unwrap();
+    batch.run_testcases(specs);
 
     let (cov_seq, cov_batch) = (seq.coverage(), batch.coverage());
     assert_eq!(render_table1(&cov_seq), render_table1(&cov_batch));

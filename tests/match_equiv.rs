@@ -278,7 +278,7 @@ fn session_reports_identical_across_thread_counts() {
             let design = synthetic_chain(length, true).build_design().unwrap();
             let config = SessionConfig::from_env().with_threads(threads);
             let mut session = DftSession::with_config(design, config).unwrap();
-            session.run_testcases(chain_testcases(length)).unwrap();
+            session.run_testcases(chain_testcases(length));
             let warnings: usize = session.runs().iter().map(|r| r.warnings.len()).sum();
             outputs.push((render_table1(&session.coverage()), warnings));
         }
@@ -327,7 +327,7 @@ fn session_strategies_identical_across_thread_counts() {
 
         let mut batch = DftSession::new(spec.build_design().unwrap()).unwrap();
         assert_eq!(batch.static_analysis(), &statics, "chain{length}: statics");
-        batch.run_testcases(chain_testcases(length)).unwrap();
+        batch.run_testcases(chain_testcases(length));
         assert_eq!(
             report(&batch.coverage(), batch.runs()),
             reference,

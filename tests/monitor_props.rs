@@ -159,7 +159,7 @@ proptest! {
                 DftSession::with_config(pid_design().unwrap(), config).unwrap()
                     .with_assertions(pid_assertions());
             let (cluster, _) = build_pid_cluster(&tc, tuning).unwrap();
-            let _ = session.run_testcases(vec![TestcaseSpec::new(
+            session.run_testcases(vec![TestcaseSpec::new(
                 &tc.name, cluster, tc.duration,
             )]);
             csvs.push(verdicts_to_csv(session.runs()));

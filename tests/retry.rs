@@ -5,7 +5,7 @@
 //! guarantee — leave a batch report **byte-identical** to a run where the
 //! testcase never failed.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use systemc_ams_dft::dft::{
     render_summary, render_table1, Design, DftSession, RetryPolicy, RunOutcome,
@@ -232,4 +232,55 @@ fn deterministic_failures_exhaust_the_budget_and_stay_degraded() {
     // The last degraded run (and its partial coverage) is kept.
     assert_eq!(session.runs().len(), 1);
     assert!(session.runs()[0].outcome.is_degraded());
+}
+
+#[test]
+fn no_retry_starts_past_the_deadline() {
+    let (_, design) = build(1.0, Sabotage::None);
+    let mut session = DftSession::new(design).unwrap();
+    let policy = RetryPolicy {
+        max_retries: 6,
+        backoff_base: Duration::from_millis(100),
+    };
+    // The stalled first attempt outlasts a deadline 50 ms away, so even
+    // the first 100 ms backoff would end past it: the degraded run stands.
+    let started = Instant::now();
+    let limits = RunLimits::none().with_deadline(started + Duration::from_millis(50));
+    let report = session.run_testcase_retrying(
+        "TC1",
+        |_| Ok(build(1.0, Sabotage::Stall).0),
+        DURATION,
+        limits,
+        &policy,
+    );
+    assert_eq!(report.attempts.len(), 1);
+    assert!(report.backoff_schedule().is_empty());
+    assert!(matches!(
+        report.final_outcome(),
+        RunOutcome::TimedOut { .. }
+    ));
+    assert!(started.elapsed() < Duration::from_secs(1));
+    assert_eq!(session.runs().len(), 1);
+    assert!(session.runs()[0].outcome.is_degraded());
+
+    // A retry whose backoff ends before a distant deadline still runs.
+    let limits = RunLimits::none()
+        .with_wall_budget(Duration::from_millis(50))
+        .with_deadline(Instant::now() + Duration::from_secs(30));
+    let report = session.run_testcase_retrying(
+        "TC2",
+        |attempt| {
+            let sabotage = if attempt == 0 {
+                Sabotage::Stall
+            } else {
+                Sabotage::None
+            };
+            Ok(build(1.0, sabotage).0)
+        },
+        DURATION,
+        limits,
+        &policy,
+    );
+    assert_eq!(report.backoff_schedule(), vec![Duration::from_millis(100)]);
+    assert!(report.salvaged());
 }
